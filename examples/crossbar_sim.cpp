@@ -20,12 +20,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <optional>
 
 #include "common/logging.hh"
 #include "crossbar/crossbar_sim.hh"
+#include "fabric_cli.hh"
 #include "sweep/record.hh"
 
 using namespace pktbuf;
@@ -64,119 +63,43 @@ usage(const char *prog)
         prog);
 }
 
-bool
-parseVariant(const std::string &tok, CrossbarConfig &cfg)
-{
-    if (tok == "rads") {
-        cfg.variant = sim::BufferVariant::Rads;
-    } else if (tok == "cfds") {
-        cfg.variant = sim::BufferVariant::Cfds;
-    } else if (tok == "renaming") {
-        cfg.variant = sim::BufferVariant::CfdsRenaming;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     CrossbarConfig cfg;
-    bool smoke = false;
-    bool list = false;
-    std::string json_path;
-    std::string csv_path;
-    bool have_slots = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
+    const auto flags =
+        cli::parseFlags(argc, argv, usage, cfg, [&](cli::Args &a) {
+            if (a.is("--scheduler")) {
+                if (!parseSchedulerKind(a.value(), cfg.scheduler))
+                    a.fail();
+            } else if (a.is("--iters")) {
+                cfg.islipIterations = a.number<unsigned>();
+            } else if (a.is("--window")) {
+                cfg.qpsWindow = a.number<unsigned>();
+            } else if (a.is("--hot-outputs")) {
+                cfg.hotOutputs = a.number<unsigned>();
+            } else {
+                return false;
             }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--ports")) {
-            cfg.ports = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--pattern")) {
-            if (!sw::parseTrafficPattern(next(), cfg.pattern)) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--scheduler")) {
-            if (!parseSchedulerKind(next(), cfg.scheduler)) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--iters")) {
-            cfg.islipIterations = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.qpsWindow = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--variant")) {
-            if (!parseVariant(next(), cfg)) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--load")) {
-            cfg.load = std::strtod(next(), nullptr);
-        } else if (!std::strcmp(argv[i], "--slots")) {
-            cfg.slots = std::strtoull(next(), nullptr, 0);
-            have_slots = true;
-        } else if (!std::strcmp(argv[i], "--seed")) {
-            cfg.masterSeed = std::strtoull(next(), nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--hot-outputs")) {
-            cfg.hotOutputs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--hot-fraction")) {
-            cfg.hotFraction = std::strtod(next(), nullptr);
-        } else if (!std::strcmp(argv[i], "--victim")) {
-            cfg.incastVictim = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--burst")) {
-            cfg.incastBurst = std::strtoull(next(), nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--engine")) {
-            const std::string tok = next();
-            if (tok == "event") {
-                cfg.eventEngine = true;
-            } else if (tok != "reference") {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--smoke")) {
-            smoke = true;
-        } else if (!std::strcmp(argv[i], "--list")) {
-            list = true;
-        } else if (!std::strcmp(argv[i], "--json")) {
-            json_path = next();
-        } else if (!std::strcmp(argv[i], "--csv")) {
-            csv_path = next();
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (smoke && !have_slots)
-        cfg.slots = 4000;
+            return true;
+        });
 
     // An impossible knob combination (zero ports, starving hot
-    // fraction, victim out of range) is a user error, not a crash.
-    std::vector<InputPlan> plans;
+    // fraction, victim out of range, a scheduler knob its scheduler
+    // rejects) is a user error, not a crash.
+    std::optional<CrossbarRun> run;
     try {
-        plans = planCrossbar(cfg);
+        run.emplace(cfg);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 2;
     }
 
-    if (list) {
+    if (flags.list) {
         std::printf("%s\n", cfg.describe().c_str());
-        for (const auto &p : plans) {
+        for (const auto &p : run->plans()) {
             std::printf("  input%-3u %s\n", p.input,
                         p.scenario.describe().c_str());
         }
@@ -193,7 +116,7 @@ main(int argc, char **argv)
                 "leg", "arrivals", "granted", "drained", "drops",
                 "status");
 
-    const auto out = runCrossbar(cfg);
+    const auto out = run->finish();
     for (std::size_t i = 0; i < out.inputs.size(); ++i) {
         const auto &plan = out.plans[i];
         const auto &in = out.inputs[i];
@@ -227,12 +150,12 @@ main(int argc, char **argv)
                     " p99=%.2f max=%.2f\n",
                     name, a->min, a->p50, a->p99, a->max);
     }
-    std::printf("%u inputs, %zu failed%s\n", rep.ports,
-                rep.failedInputs, smoke ? " (smoke run)" : "");
+    std::printf("%u inputs, %zu failed%s\n", rep.ports, rep.failed,
+                flags.smoke ? " (smoke run)" : "");
 
     sweep::Record extra;
-    extra.set("smoke", smoke);
-    emitCrossbarArtifacts(cfg, out, "crossbar_sim", extra, json_path,
-                          csv_path);
+    extra.set("smoke", flags.smoke);
+    emitCrossbarArtifacts(cfg, out, "crossbar_sim", extra,
+                          flags.jsonPath, flags.csvPath);
     return out.passed ? 0 : 1;
 }

@@ -22,13 +22,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <sstream>
-#include <string>
 
 #include "common/logging.hh"
+#include "fabric_cli.hh"
 #include "sweep/record.hh"
 #include "switch/switch_sim.hh"
 
@@ -69,106 +67,28 @@ usage(const char *prog)
         prog);
 }
 
-bool
-parseVariant(const std::string &tok, SwitchConfig &cfg)
-{
-    if (tok == "mixed") {
-        cfg.mixedVariants = true;
-    } else if (tok == "rads") {
-        cfg.variant = sim::BufferVariant::Rads;
-    } else if (tok == "cfds") {
-        cfg.variant = sim::BufferVariant::Cfds;
-    } else if (tok == "renaming") {
-        cfg.variant = sim::BufferVariant::CfdsRenaming;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     SwitchConfig cfg;
-    bool smoke = false;
-    bool list = false;
     bool stats = false;
     unsigned jobs = 1;
-    std::string json_path;
-    std::string csv_path;
-    bool have_slots = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--ports")) {
-            cfg.ports = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--pattern")) {
-            if (!parseTrafficPattern(next(), cfg.pattern)) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--variant")) {
-            if (!parseVariant(next(), cfg)) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--queues")) {
-            cfg.queues = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--load")) {
-            cfg.load = std::strtod(next(), nullptr);
-        } else if (!std::strcmp(argv[i], "--slots")) {
-            cfg.slots = std::strtoull(next(), nullptr, 0);
-            have_slots = true;
-        } else if (!std::strcmp(argv[i], "--seed")) {
-            cfg.masterSeed = std::strtoull(next(), nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--hot-ports")) {
-            cfg.hotPorts = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--hot-fraction")) {
-            cfg.hotFraction = std::strtod(next(), nullptr);
-        } else if (!std::strcmp(argv[i], "--victim")) {
-            cfg.incastVictim = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--burst")) {
-            cfg.incastBurst = std::strtoull(next(), nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--engine")) {
-            const std::string tok = next();
-            if (tok == "event") {
-                cfg.eventEngine = true;
-            } else if (tok != "reference") {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--smoke")) {
-            smoke = true;
-        } else if (!std::strcmp(argv[i], "--list")) {
-            list = true;
-        } else if (!std::strcmp(argv[i], "--stats")) {
-            stats = true;
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--json")) {
-            json_path = next();
-        } else if (!std::strcmp(argv[i], "--csv")) {
-            csv_path = next();
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (smoke && !have_slots)
-        cfg.slots = 4000;
+    const auto flags =
+        cli::parseFlags(argc, argv, usage, cfg, [&](cli::Args &a) {
+            if (a.is("--queues"))
+                cfg.queues = a.number<unsigned>();
+            else if (a.is("--hot-ports"))
+                cfg.hotPorts = a.number<unsigned>();
+            else if (a.is("--stats"))
+                stats = true;
+            else if (a.is("--jobs"))
+                jobs = a.number<unsigned>();
+            else
+                return false;
+            return true;
+        });
 
     // An impossible knob combination (zero ports, starving hot
     // fraction, victim out of range) is a user error, not a crash.
@@ -180,7 +100,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (list) {
+    if (flags.list) {
         std::printf("%s\n", cfg.describe().c_str());
         for (const auto &p : sim->plans()) {
             std::printf("  port%-3u %s\n", p.port,
@@ -229,8 +149,8 @@ main(int argc, char **argv)
                     " max=%.2f\n",
                     name, a->min, a->p50, a->p99, a->max);
     }
-    std::printf("%u ports, %zu failed%s\n", rep.ports,
-                rep.failedPorts, smoke ? " (smoke run)" : "");
+    std::printf("%u ports, %zu failed%s\n", rep.ports, rep.failed,
+                flags.smoke ? " (smoke run)" : "");
 
     if (stats) {
         std::ostringstream os;
@@ -239,8 +159,8 @@ main(int argc, char **argv)
     }
 
     sweep::Record extra;
-    extra.set("smoke", smoke);
-    emitSwitchArtifacts(cfg, out, "switch_sim", extra, json_path,
-                        csv_path);
+    extra.set("smoke", flags.smoke);
+    emitSwitchArtifacts(cfg, out, "switch_sim", extra, flags.jsonPath,
+                        flags.csvPath);
     return out.passed ? 0 : 1;
 }

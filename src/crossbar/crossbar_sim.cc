@@ -21,14 +21,6 @@ namespace
  *  deriveSeed(master, input) stream. */
 constexpr std::uint64_t kSchedSalt = 0x78736368ull;  // "xsch"
 
-unsigned
-resolvedHotOutputs(const CrossbarConfig &cfg)
-{
-    const unsigned hot = cfg.hotOutputs ? cfg.hotOutputs
-                                        : std::max(1u, cfg.ports / 4);
-    return std::min(hot, cfg.ports);
-}
-
 /**
  * Incast burst-length cap.  A burst's cells pile into one VOQ, and a
  * work-conserving matching then drains that backlog in *consecutive*
@@ -69,7 +61,7 @@ CrossbarConfig::describe() const
     if (scheduler == SchedulerKind::Qps)
         os << " qps_window=" << qpsWindow;
     if (pattern == sw::TrafficPattern::Hotspot) {
-        os << " hot_outputs=" << resolvedHotOutputs(*this)
+        os << " hot_outputs=" << fabric::hotCount(hotOutputs, ports)
            << " hot_fraction=" << hotFraction;
     }
     if (pattern == sw::TrafficPattern::Incast) {
@@ -82,18 +74,8 @@ CrossbarConfig::describe() const
 std::vector<InputPlan>
 planCrossbar(const CrossbarConfig &cfg)
 {
-    fatal_if(cfg.ports == 0, "crossbar needs at least one port");
-    fatal_if(cfg.load <= 0.0, "crossbar load must be positive");
-    fatal_if(cfg.pattern == sw::TrafficPattern::Incast &&
-                 cfg.incastVictim >= cfg.ports,
-             "incast victim output ", cfg.incastVictim,
-             " out of range (", cfg.ports, " ports)");
-    fatal_if((cfg.pattern == sw::TrafficPattern::Hotspot ||
-              cfg.pattern == sw::TrafficPattern::Incast) &&
-                 (cfg.hotFraction <= 0.0 || cfg.hotFraction >= 1.0),
-             "hot fraction ", cfg.hotFraction,
-             " outside (0, 1) starves one side of the ",
-             sw::toString(cfg.pattern), " split");
+    fabric::checkKnobs("crossbar", cfg.ports, cfg.load, cfg.pattern,
+                       cfg.incastVictim, cfg.hotFraction);
 
     const unsigned n = cfg.ports;
     double rho = std::min(cfg.load, CrossbarConfig::kMaxInputLoad);
@@ -105,7 +87,7 @@ planCrossbar(const CrossbarConfig &cfg)
     // Resolve the skewed patterns' probabilities against the output
     // and per-VOQ load caps (pure arithmetic -- every input can be
     // rebuilt from its plan alone).
-    const unsigned hot = resolvedHotOutputs(cfg);
+    const unsigned hot = fabric::hotCount(cfg.hotOutputs, n);
     double hot_fraction = 0.0;
     if (cfg.pattern == sw::TrafficPattern::Hotspot) {
         if (hot >= n) {
@@ -163,39 +145,27 @@ planCrossbar(const CrossbarConfig &cfg)
         dest.permTarget = static_cast<QueueId>((i + 1) % n);
         plan.dest = dest;
 
-        sim::Scenario s;
-        s.variant = cfg.variant;
-        s.workload = sim::WorkloadKind::Bernoulli;  // tag overrides
-        s.queues = n;  // one VOQ per output
-        s.granRads = cfg.granRads;
-        if (s.variant == sim::BufferVariant::Rads) {
-            s.gran = cfg.granRads;
-            s.groups = 1;
-        } else {
-            s.gran = cfg.gran;
-            s.groups = cfg.groups;
-        }
-        if (s.variant == sim::BufferVariant::CfdsRenaming) {
-            // Same shape the matrix's renaming legs use: more
-            // physical than logical queues and a DRAM tight enough
-            // that renaming chains actually form.
-            s.physQueues = 2 * n;
-            s.dramCells = 2ull * n * cfg.granRads;
-        }
+        // One VOQ per output; renaming inputs get twice as many
+        // physical queues.
+        sim::Scenario s = fabric::shapeLeg(
+            {.variant = cfg.variant,
+             .queues = n,
+             .physQueues = 2 * n,
+             .granRads = cfg.granRads,
+             .gran = cfg.gran,
+             .groups = cfg.groups,
+             .slots = cfg.slots,
+             .masterSeed = cfg.masterSeed,
+             .eventEngine = cfg.eventEngine},
+            i);
         s.load = rho;
-        s.slots = cfg.slots;
-        s.seed = sweep::deriveSeed(cfg.masterSeed, i);
-        s.eventEngine = cfg.eventEngine;
         // A work-conserving matching drains a backlogged VOQ in
         // consecutive same-queue grants -- a service concentration
         // the Eq. (1) RR sizing (randomized requests) does not
         // model.  Provision the register for the worst run the plan
         // admits: a full burst-cap backlog, one DRAM access per b
         // cells on both the read and the write side.
-        const unsigned b = std::max(
-            1u, s.variant == sim::BufferVariant::Rads ? cfg.granRads
-                                                      : cfg.gran);
-        s.rrSlack = 2 * (burstCap(cfg) / b + 1);
+        s.rrSlack = 2 * (burstCap(cfg) / std::max(1u, s.gran) + 1);
         // Name the workload that actually runs, so failure logs and
         // --list lines describe the destination process exactly.
         switch (cfg.pattern) {
@@ -306,15 +276,6 @@ makeInputWorkload(const InputPlan &plan, bool self_greedy)
     return std::make_unique<CrossbarPortWorkload>(
         plan.dest, plan.scenario.seed, plan.scenario.load,
         self_greedy);
-}
-
-const sw::PortStatAgg *
-CrossbarReport::agg(const std::string &name) const
-{
-    for (const auto &[k, v] : aggregates)
-        if (k == name)
-            return &v;
-    return nullptr;
 }
 
 CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
@@ -450,113 +411,6 @@ CrossbarRun::restore(const std::string &bytes)
                  " diverges from the fabric's ", executed_);
 }
 
-namespace
-{
-
-/** One aggregated stat: its record name and per-input extractor. */
-struct StatDef
-{
-    const char *name;
-    double (*get)(const sim::ScenarioOutcome &);
-};
-
-constexpr StatDef kStatDefs[] = {
-    {"arrivals",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.run.arrivals);
-     }},
-    {"granted",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.verified);
-     }},
-    {"drained",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.drained);
-     }},
-    {"drops",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.run.drops);
-     }},
-    {"undelivered",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.undelivered);
-     }},
-    {"mean_delay_slots",
-     [](const sim::ScenarioOutcome &o) { return o.run.meanDelaySlots; }},
-    {"max_delay_slots",
-     [](const sim::ScenarioOutcome &o) { return o.run.maxDelaySlots; }},
-    {"dram_reads",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.dramReads);
-     }},
-    {"dram_writes",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.dramWrites);
-     }},
-    {"renames",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.renames);
-     }},
-    {"head_sram_hw",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.headSramHighWater);
-     }},
-    {"tail_sram_hw",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.tailSramHighWater);
-     }},
-    {"rr_hw",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.rrHighWater);
-     }},
-};
-
-CrossbarReport
-aggregateReport(const std::vector<sim::ScenarioOutcome> &inputs,
-                std::uint64_t match_edges, std::uint64_t active_slots,
-                std::uint64_t iter_sum)
-{
-    CrossbarReport r;
-    r.ports = static_cast<unsigned>(inputs.size());
-    for (const auto &o : inputs) {
-        if (!o.passed)
-            ++r.failedInputs;
-        r.arrivals += o.run.arrivals;
-        r.granted += o.verified;
-        r.drained += o.drained;
-        r.drops += o.run.drops;
-        r.undelivered += o.undelivered;
-        r.dramReads += o.report.dramReads;
-        r.dramWrites += o.report.dramWrites;
-        r.renames += o.report.renames;
-    }
-    r.matchEdges = match_edges;
-    r.activeSlots = active_slots;
-    r.iterSum = iter_sum;
-    r.throughput =
-        r.arrivals
-            ? static_cast<double>(match_edges) / r.arrivals
-            : 0.0;
-    r.meanMatchSize =
-        active_slots
-            ? static_cast<double>(match_edges) / active_slots
-            : 0.0;
-    r.meanIterations =
-        active_slots ? static_cast<double>(iter_sum) / active_slots
-                     : 0.0;
-    for (const auto &def : kStatDefs) {
-        std::vector<double> values;
-        values.reserve(inputs.size());
-        for (const auto &o : inputs)
-            values.push_back(def.get(o));
-        r.aggregates.emplace_back(def.name,
-                                  sw::aggregateStat(values));
-    }
-    return r;
-}
-
-} // namespace
-
 CrossbarOutcome
 CrossbarRun::finish()
 {
@@ -571,22 +425,21 @@ CrossbarRun::finish()
     out.inputs.reserve(inputs_.size());
     for (auto &in : inputs_)
         out.inputs.push_back(in->finish());
-    out.report = aggregateReport(out.inputs, match_edges_,
-                                 active_slots_, iter_sum_);
-    out.passed = why.empty() && out.report.failedInputs == 0;
+    auto &r = out.report;
+    fabric::aggregate(out.inputs, r);
+    r.matchEdges = match_edges_;
+    r.activeSlots = active_slots_;
+    r.iterSum = iter_sum_;
+    const auto ratio = [](std::uint64_t num, std::uint64_t den) {
+        return den ? static_cast<double>(num) / den : 0.0;
+    };
+    r.throughput = ratio(match_edges_, r.arrivals);
+    r.meanMatchSize = ratio(match_edges_, active_slots_);
+    r.meanIterations = ratio(iter_sum_, active_slots_);
+    out.passed = why.empty() && r.failed == 0;
     if (!out.passed) {
-        std::ostringstream os;
-        os << why;
-        for (std::size_t i = 0; i < out.inputs.size(); ++i) {
-            if (out.inputs[i].passed)
-                continue;
-            if (os.tellp() > 0)
-                os << " | ";
-            os << "input" << plans_[i].input << ": "
-               << out.inputs[i].failure;
-        }
-        os << " [" << cfg_.describe() << "]";
-        out.failure = os.str();
+        out.failure = fabric::failureText(why, plans_, out.inputs) +
+                      " [" + cfg_.describe() + "]";
     }
     return out;
 }
@@ -594,41 +447,7 @@ CrossbarRun::finish()
 CrossbarOutcome
 runCrossbar(const CrossbarConfig &cfg)
 {
-    try {
-        CrossbarRun run(cfg);
-        return run.finish();
-    } catch (const std::exception &e) {
-        CrossbarOutcome out;
-        out.failure = std::string("exception: ") + e.what() + "; [" +
-                      cfg.describe() + "]";
-        return out;
-    }
-}
-
-CrossbarOutcome
-runCrossbarCheckpointed(const CrossbarConfig &cfg,
-                        std::uint64_t every)
-{
-    try {
-        auto run = std::make_unique<CrossbarRun>(cfg);
-        if (every > 0) {
-            for (std::uint64_t at = every; at < cfg.slots;
-                 at += every) {
-                run->runTo(at);
-                const std::string bytes = run->checkpoint();
-                // Restore into entirely fresh objects: the same
-                // rebuild a cross-process resume performs.
-                run = std::make_unique<CrossbarRun>(cfg);
-                run->restore(bytes);
-            }
-        }
-        return run->finish();
-    } catch (const std::exception &e) {
-        CrossbarOutcome out;
-        out.failure = std::string("exception: ") + e.what() + "; [" +
-                      cfg.describe() + "]";
-        return out;
-    }
+    return soak::runCheckpointed<CrossbarRun>(cfg, 0);
 }
 
 sweep::Record
@@ -663,34 +482,18 @@ crossbarRecord(const CrossbarConfig &cfg, const CrossbarOutcome &out)
         .set("slots", cfg.slots)
         .set("master_seed", cfg.masterSeed)
         .set("passed", out.passed)
-        .set("failed_inputs", r.failedInputs)
-        .set("arrivals", r.arrivals)
-        .set("granted", r.granted)
-        .set("drained", r.drained)
-        .set("drops", r.drops)
-        .set("undelivered", r.undelivered)
-        .set("dram_reads", r.dramReads)
-        .set("dram_writes", r.dramWrites)
-        .set("renames", r.renames)
-        .set("match_edges", r.matchEdges)
+        .set("failed_inputs", r.failed);
+    fabric::addSums(rec, r);
+    rec.set("match_edges", r.matchEdges)
         .set("active_slots", r.activeSlots)
         .set("iter_sum", r.iterSum)
         .set("throughput", r.throughput)
         .set("mean_match_size", r.meanMatchSize)
         .set("mean_iterations", r.meanIterations);
     // Full across-input spread for the headline stats.
-    for (const char *name :
-         {"granted", "drops", "mean_delay_slots", "max_delay_slots",
-          "head_sram_hw", "rr_hw"}) {
-        const sw::PortStatAgg *a = r.agg(name);
-        panic_if(!a, "crossbar report: missing aggregate for ", name);
-        const std::string n = name;
-        rec.set(n + "_min", a->min)
-            .set(n + "_max", a->max)
-            .set(n + "_mean", a->mean)
-            .set(n + "_p50", a->p50)
-            .set(n + "_p99", a->p99);
-    }
+    fabric::addSpread(rec, r,
+                      {"granted", "drops", "mean_delay_slots",
+                       "max_delay_slots", "head_sram_hw", "rr_hw"});
     return rec;
 }
 
@@ -702,46 +505,15 @@ emitCrossbarArtifacts(const CrossbarConfig &cfg,
                       const std::string &json_path,
                       const std::string &csv_path)
 {
-    if (json_path.empty() && csv_path.empty())
-        return;
-    // Reconstruct the (tasks, report) pair the sweep emitters
-    // expect; the task callables are never run -- only the names
-    // label the rows.
-    std::vector<sweep::Task> tasks;
-    sweep::SweepReport rep;
-    for (std::size_t i = 0; i < out.plans.size(); ++i) {
-        tasks.push_back(sweep::Task{
-            "input" + std::to_string(out.plans[i].input), {}});
-        sweep::TaskResult tr;
-        tr.records.push_back(
-            inputRecord(out.plans[i], out.inputs[i]));
-        tr.ok = out.inputs[i].passed;
-        if (!tr.ok) {
-            tr.error = out.inputs[i].failure;
-            ++rep.failed;
-        }
-        rep.results.push_back(std::move(tr));
-    }
-    tasks.push_back(sweep::Task{"aggregate", {}});
-    sweep::TaskResult agg;
-    agg.records.push_back(crossbarRecord(cfg, out));
-    agg.ok = out.passed;
-    if (!out.passed) {
-        agg.error = out.failure;
-        // Keep the schema invariant: "failed" counts exactly the
-        // rows that carry ok=false, and the aggregate row is one.
-        ++rep.failed;
-    }
-    rep.results.push_back(std::move(agg));
-
     extra_meta.set("crossbar", cfg.name())
         .set("pattern", sw::toString(cfg.pattern))
         .set("scheduler", xbar::toString(cfg.scheduler))
         .set("ports", cfg.ports)
         .set("master_seed", cfg.masterSeed);
-    sweep::emitArtifacts(rep, tasks,
-                         sweep::EmitMeta{tool, std::move(extra_meta)},
-                         json_path, csv_path);
+    fabric::emitArtifacts(out, out.inputs, inputRecord,
+                          crossbarRecord(cfg, out),
+                          sweep::EmitMeta{tool, std::move(extra_meta)},
+                          json_path, csv_path);
 }
 
 } // namespace pktbuf::xbar

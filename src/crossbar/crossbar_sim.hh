@@ -46,11 +46,11 @@
 #include <vector>
 
 #include "crossbar/scheduler.hh"
+#include "fabric/fabric.hh"
 #include "sim/scenario.hh"
 #include "sim/workload.hh"
 #include "soak/checkpoint.hh"
 #include "sweep/record.hh"
-#include "switch/switch_sim.hh"
 #include "switch/traffic.hh"
 
 namespace pktbuf::xbar
@@ -167,6 +167,9 @@ struct InputPlan
     /** The leg: variant, queues (= outputs), load, seed, slots. */
     sim::Scenario scenario;
     DestPlan dest;
+
+    /** "input<i>": the input's row and failure label. */
+    std::string legName() const { return "input" + std::to_string(input); }
 };
 
 /**
@@ -240,22 +243,9 @@ class CrossbarPortWorkload : public sim::Workload
 std::unique_ptr<CrossbarPortWorkload>
 makeInputWorkload(const InputPlan &plan, bool self_greedy = false);
 
-/** Crossbar-level aggregation of the per-input outcomes. */
-struct CrossbarReport
+/** Crossbar-level aggregation: the input sums plus the fabric's. */
+struct CrossbarReport : fabric::Report
 {
-    unsigned ports = 0;
-    std::size_t failedInputs = 0;
-
-    /** Straight sums over inputs. */
-    std::uint64_t arrivals = 0;
-    std::uint64_t granted = 0;  //!< golden-verified grants
-    std::uint64_t drained = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t undelivered = 0;
-    std::uint64_t dramReads = 0;
-    std::uint64_t dramWrites = 0;
-    std::uint64_t renames = 0;
-
     /** Fabric counters (main phase only, before the drain). */
     std::uint64_t matchEdges = 0;   //!< granted fabric transfers
     std::uint64_t activeSlots = 0;  //!< slots with any backed VOQ
@@ -268,13 +258,6 @@ struct CrossbarReport
     double meanMatchSize = 0.0;
     /** iterSum / activeSlots. */
     double meanIterations = 0.0;
-
-    /** Per-stat spread across inputs (sw::aggregateStat), keyed by
-     *  the scenarioRecord field names, in emission order. */
-    std::vector<std::pair<std::string, sw::PortStatAgg>> aggregates;
-
-    /** The named aggregate, or nullptr when absent. */
-    const sw::PortStatAgg *agg(const std::string &name) const;
 };
 
 /** Outcome of a whole crossbar run. */
@@ -366,20 +349,11 @@ class CrossbarRun
 };
 
 /**
- * Run one crossbar end to end.  Never throws: panics and fatals
- * become a failed outcome whose message carries describe() (and so
- * the master seed).
+ * Run one crossbar end to end: soak::runCheckpointed with no
+ * checkpoints.  Never throws: panics and fatals become a failed
+ * outcome whose message carries describe() (and so the master seed).
  */
 CrossbarOutcome runCrossbar(const CrossbarConfig &cfg);
-
-/**
- * Run one crossbar, checkpointing every `every` main-phase slots and
- * restoring each snapshot into a completely fresh CrossbarRun before
- * continuing -- the crossbar soak self-test.  `every` == 0 (or >=
- * slots) degenerates to a plain run.  Never throws.
- */
-CrossbarOutcome runCrossbarCheckpointed(const CrossbarConfig &cfg,
-                                        std::uint64_t every);
 
 /**
  * One result row per input: the scenario record of the input's leg

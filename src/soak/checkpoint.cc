@@ -133,28 +133,4 @@ ScenarioRun::finish()
     return out;
 }
 
-sim::ScenarioOutcome
-runScenarioCheckpointed(const sim::Scenario &s, std::uint64_t every)
-{
-    try {
-        auto run = std::make_unique<ScenarioRun>(s);
-        if (every > 0) {
-            for (std::uint64_t at = every; at < s.slots; at += every) {
-                run->runTo(at);
-                const std::string bytes = run->checkpoint();
-                // Restore into entirely fresh objects: the same
-                // rebuild a cross-process resume performs.
-                run = std::make_unique<ScenarioRun>(s);
-                run->restore(bytes);
-            }
-        }
-        return run->finish();
-    } catch (const std::exception &e) {
-        sim::ScenarioOutcome out;
-        out.failure = std::string("exception: ") + e.what() + "; [" +
-                      s.describe() + "]";
-        return out;
-    }
-}
-
 } // namespace pktbuf::soak

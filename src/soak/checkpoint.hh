@@ -28,9 +28,11 @@
 #define PKTBUF_SOAK_CHECKPOINT_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "buffer/hybrid_buffer.hh"
 #include "sim/runner.hh"
@@ -136,15 +138,41 @@ class ScenarioRun
 };
 
 /**
- * Run one leg end to end, checkpointing every `every` main-phase
- * slots and restoring each snapshot into a completely fresh
- * ScenarioRun before continuing -- the soak self-test.  With
- * `every` == 0 (or >= s.slots) this degenerates to a plain run.
- * Never throws; failures carry the scenario description and seed,
- * exactly like sim::runScenario().
+ * Run a checkpointable run end to end -- a ScenarioRun leg, or a
+ * whole xbar::CrossbarRun fabric -- checkpointing every `every`
+ * main-phase slots and restoring each snapshot into a completely
+ * fresh Run before continuing: the soak self-test.  With `every` == 0
+ * (or >= cfg.slots) this is a plain run.  Never throws; an exception
+ * becomes a failed outcome carrying cfg.describe() (and so the seed).
+ *
+ * @tparam Run a run built from `cfg` with runTo(), checkpoint(),
+ *         restore() and finish()
  */
-sim::ScenarioOutcome runScenarioCheckpointed(const sim::Scenario &s,
-                                             std::uint64_t every);
+template <typename Run, typename Config>
+auto
+runCheckpointed(const Config &cfg, std::uint64_t every)
+{
+    using Outcome = decltype(std::declval<Run &>().finish());
+    try {
+        auto run = std::make_unique<Run>(cfg);
+        if (every > 0) {
+            for (std::uint64_t at = every; at < cfg.slots; at += every) {
+                run->runTo(at);
+                const std::string bytes = run->checkpoint();
+                // Restore into entirely fresh objects: the same
+                // rebuild a cross-process resume performs.
+                run = std::make_unique<Run>(cfg);
+                run->restore(bytes);
+            }
+        }
+        return run->finish();
+    } catch (const std::exception &e) {
+        Outcome out;
+        out.failure = std::string("exception: ") + e.what() + "; [" +
+                      cfg.describe() + "]";
+        return out;
+    }
+}
 
 } // namespace pktbuf::soak
 

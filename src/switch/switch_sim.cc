@@ -44,14 +44,6 @@ portVariant(const SwitchConfig &cfg, unsigned p)
     }
 }
 
-unsigned
-resolvedHotPorts(const SwitchConfig &cfg)
-{
-    const unsigned hot =
-        cfg.hotPorts ? cfg.hotPorts : std::max(1u, cfg.ports / 4);
-    return std::min(hot, cfg.ports);
-}
-
 } // namespace
 
 std::string
@@ -72,7 +64,7 @@ SwitchConfig::describe() const
     os << name() << " groups=" << groups << " load=" << load
        << " slots=" << slots << " master_seed=" << masterSeed;
     if (pattern == TrafficPattern::Hotspot) {
-        os << " hot_ports=" << resolvedHotPorts(*this)
+        os << " hot_ports=" << fabric::hotCount(hotPorts, ports)
            << " hot_fraction=" << hotFraction;
     }
     if (pattern == TrafficPattern::Incast) {
@@ -87,26 +79,12 @@ SwitchConfig::describe() const
 std::vector<PortPlan>
 planPorts(const SwitchConfig &cfg)
 {
-    fatal_if(cfg.ports == 0, "switch needs at least one port");
+    fabric::checkKnobs("switch", cfg.ports, cfg.load, cfg.pattern,
+                       cfg.incastVictim, cfg.hotFraction);
     fatal_if(cfg.queues == 0, "switch needs at least one queue");
-    fatal_if(cfg.load <= 0.0, "switch load must be positive");
-    fatal_if(cfg.pattern == TrafficPattern::Incast &&
-                 cfg.incastVictim >= cfg.ports,
-             "incast victim ", cfg.incastVictim, " out of range (",
-             cfg.ports, " ports)");
-    // A fraction at (or beyond) either extreme starves one side of
-    // the split outright -- the starved ports would then fail the
-    // "delivered no cells" invariant with a misleading diagnosis, so
-    // reject the impossible knob up front.
-    fatal_if((cfg.pattern == TrafficPattern::Hotspot ||
-              cfg.pattern == TrafficPattern::Incast) &&
-                 (cfg.hotFraction <= 0.0 || cfg.hotFraction >= 1.0),
-             "switch hot fraction ", cfg.hotFraction,
-             " outside (0, 1) starves one side of the ",
-             sw::toString(cfg.pattern), " split");
 
     const double total = cfg.ports * cfg.load;
-    const unsigned hot = resolvedHotPorts(cfg);
+    const unsigned hot = fabric::hotCount(cfg.hotPorts, cfg.ports);
 
     // The permutation pattern's fixed port -> queue map: a seeded
     // Fisher-Yates permutation of the queue ids, drawn once for the
@@ -129,34 +107,27 @@ planPorts(const SwitchConfig &cfg)
         plan.port = p;
         plan.pattern = cfg.pattern;
 
-        sim::Scenario s;
-        s.variant = portVariant(cfg, p);
-        s.workload = sim::WorkloadKind::Bernoulli;
-        s.queues = cfg.queues;
-        s.granRads = cfg.granRads;
-        if (s.variant == sim::BufferVariant::Rads) {
-            s.gran = cfg.granRads;
-            s.groups = 1;
-        } else {
-            s.gran = cfg.gran;
-            s.groups = cfg.groups;
-        }
-        if (s.variant == sim::BufferVariant::CfdsRenaming) {
-            // Same shape the matrix's renaming legs use: fewer
-            // logical than physical queues and a DRAM tight enough
-            // that renaming chains actually form.
-            s.physQueues = cfg.queues;
-            s.queues = std::max(1u, cfg.queues / 2);
-            s.dramCells = 1ull * cfg.queues * cfg.granRads;
-        }
+        // Renaming ports keep the physical queue count and run half
+        // as many logical queues.
+        const sim::BufferVariant variant = portVariant(cfg, p);
+        sim::Scenario s = fabric::shapeLeg(
+            {.variant = variant,
+             .queues = variant == sim::BufferVariant::CfdsRenaming
+                           ? std::max(1u, cfg.queues / 2)
+                           : cfg.queues,
+             .physQueues = cfg.queues,
+             .granRads = cfg.granRads,
+             .gran = cfg.gran,
+             .groups = cfg.groups,
+             .slots = cfg.slots,
+             .masterSeed = cfg.masterSeed,
+             .eventEngine = cfg.eventEngine},
+            p);
         // Non-uniform DDR timing requires the banked CFDS
         // organization; RADS and renaming ports keep the uniform
         // model.
         if (s.variant == sim::BufferVariant::Cfds)
             s.timing = cfg.timing;
-        s.slots = cfg.slots;
-        s.seed = sweep::deriveSeed(cfg.masterSeed, p);
-        s.eventEngine = cfg.eventEngine;
 
         double L = cfg.load;
         switch (cfg.pattern) {
@@ -259,165 +230,6 @@ runPort(const PortPlan &plan)
     return sim::runScenarioWith(plan.scenario, *wl);
 }
 
-PortStatAgg
-aggregateStat(const std::vector<double> &per_port)
-{
-    PortStatAgg a;
-    if (per_port.empty())
-        return a;
-    Sampler s;
-    for (const double v : per_port) {
-        a.sum += v;
-        s.sample(v);
-    }
-    a.min = s.min();
-    a.max = s.max();
-    a.mean = s.mean();
-    // Percentiles via the joint streaming P^2 estimator: exact
-    // (linear interpolation at rank p*(n-1)) for up to seven ports,
-    // marker approximation beyond -- no bucket width to misjudge and
-    // no bucket-upper-bound bias, unlike the fixed-width Histogram
-    // this replaced.  One shared sorted marker array serves both
-    // targets, so p99 >= p50 holds by construction (two independent
-    // P2Quantile instances crossed on adversarial inputs and needed
-    // a flooring band-aid here).
-    P2QuantileSet pq({0.50, 0.99});
-    for (const double v : per_port)
-        pq.sample(v);
-    a.p50 = pq.quantile(0.50);
-    a.p99 = pq.quantile(0.99);
-    return a;
-}
-
-const PortStatAgg *
-SwitchReport::agg(const std::string &name) const
-{
-    for (const auto &[k, v] : aggregates)
-        if (k == name)
-            return &v;
-    return nullptr;
-}
-
-namespace
-{
-
-/** One aggregated stat: its record name and per-port extractor. */
-struct StatDef
-{
-    const char *name;
-    double (*get)(const sim::ScenarioOutcome &);
-};
-
-constexpr StatDef kStatDefs[] = {
-    {"arrivals",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.run.arrivals);
-     }},
-    {"granted",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.verified);
-     }},
-    {"drained",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.drained);
-     }},
-    {"drops",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.run.drops);
-     }},
-    {"undelivered",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.undelivered);
-     }},
-    {"mean_delay_slots",
-     [](const sim::ScenarioOutcome &o) { return o.run.meanDelaySlots; }},
-    {"max_delay_slots",
-     [](const sim::ScenarioOutcome &o) { return o.run.maxDelaySlots; }},
-    {"dram_reads",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.dramReads);
-     }},
-    {"dram_writes",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.dramWrites);
-     }},
-    {"renames",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.renames);
-     }},
-    {"head_sram_hw",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.headSramHighWater);
-     }},
-    {"tail_sram_hw",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.tailSramHighWater);
-     }},
-    {"rr_hw",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.rrHighWater);
-     }},
-    {"dsa_stalls",
-     [](const sim::ScenarioOutcome &o) {
-         return static_cast<double>(o.report.dsaStalls);
-     }},
-};
-
-SwitchReport
-aggregateReport(const std::vector<PortPlan> &plans,
-                const std::vector<sim::ScenarioOutcome> &ports)
-{
-    SwitchReport r;
-    r.ports = static_cast<unsigned>(ports.size());
-    for (std::size_t i = 0; i < ports.size(); ++i) {
-        const auto &o = ports[i];
-        if (!o.passed)
-            ++r.failedPorts;
-        r.arrivals += o.run.arrivals;
-        r.granted += o.verified;
-        r.drained += o.drained;
-        r.drops += o.run.drops;
-        r.undelivered += o.undelivered;
-        r.dramReads += o.report.dramReads;
-        r.dramWrites += o.report.dramWrites;
-        r.renames += o.report.renames;
-        r.dsaStalls += o.report.dsaStalls;
-
-        // Namespaced per-port stats: "port<i>.<stat>".
-        const std::string pre =
-            "port" + std::to_string(plans[i].port) + ".";
-        r.stats.counter(pre + "arrivals").inc(o.run.arrivals);
-        r.stats.counter(pre + "granted").inc(o.verified);
-        r.stats.counter(pre + "drained").inc(o.drained);
-        r.stats.counter(pre + "drops").inc(o.run.drops);
-        r.stats.counter(pre + "dram_reads").inc(o.report.dramReads);
-        r.stats.counter(pre + "dram_writes").inc(o.report.dramWrites);
-        r.stats.counter(pre + "renames").inc(o.report.renames);
-        r.stats.counter(pre + "dsa_stalls").inc(o.report.dsaStalls);
-        r.stats.highWater(pre + "head_sram")
-            .observe(o.report.headSramHighWater);
-        r.stats.highWater(pre + "tail_sram")
-            .observe(o.report.tailSramHighWater);
-        r.stats.highWater(pre + "rr").observe(o.report.rrHighWater);
-    }
-
-    for (const auto &def : kStatDefs) {
-        std::vector<double> values;
-        values.reserve(ports.size());
-        auto &sampler =
-            r.stats.sampler(std::string("across_ports.") + def.name);
-        for (const auto &o : ports) {
-            const double v = def.get(o);
-            values.push_back(v);
-            sampler.sample(v);
-        }
-        r.aggregates.emplace_back(def.name, aggregateStat(values));
-    }
-    return r;
-}
-
-} // namespace
-
 SwitchOutcome
 runPlans(const std::vector<PortPlan> &plans, unsigned jobs)
 {
@@ -433,8 +245,7 @@ runPlans(const std::vector<PortPlan> &plans, unsigned jobs)
     tasks.reserve(plans.size());
     for (std::size_t i = 0; i < plans.size(); ++i) {
         tasks.push_back(sweep::Task{
-            "port" + std::to_string(plans[i].port) + "/" +
-                plans[i].scenario.name(),
+            plans[i].legName() + "/" + plans[i].scenario.name(),
             [&out, &plans, i](const sweep::SweepContext &) {
                 out.ports[i] = runPort(plans[i]);
                 sweep::TaskResult r;
@@ -449,20 +260,27 @@ runPlans(const std::vector<PortPlan> &plans, unsigned jobs)
     so.jobs = jobs;
     sweep::runSweep(tasks, so);
 
-    out.report = aggregateReport(plans, out.ports);
-    out.passed = out.report.failedPorts == 0;
-    if (!out.passed) {
-        std::ostringstream os;
-        for (std::size_t i = 0; i < out.ports.size(); ++i) {
-            if (out.ports[i].passed)
-                continue;
-            if (os.tellp() > 0)
-                os << " | ";
-            os << "port" << plans[i].port << ": "
-               << out.ports[i].failure;
-        }
-        out.failure = os.str();
+    auto &r = out.report;
+    fabric::aggregate(out.ports, r, &r.stats);
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        const auto &o = out.ports[i];
+        const std::string pre = plans[i].legName() + ".";
+        r.stats.counter(pre + "arrivals").inc(o.run.arrivals);
+        r.stats.counter(pre + "granted").inc(o.verified);
+        r.stats.counter(pre + "drained").inc(o.drained);
+        r.stats.counter(pre + "drops").inc(o.run.drops);
+        r.stats.counter(pre + "dram_reads").inc(o.report.dramReads);
+        r.stats.counter(pre + "dram_writes").inc(o.report.dramWrites);
+        r.stats.counter(pre + "renames").inc(o.report.renames);
+        r.stats.counter(pre + "dsa_stalls").inc(o.report.dsaStalls);
+        r.stats.highWater(pre + "head_sram")
+            .observe(o.report.headSramHighWater);
+        r.stats.highWater(pre + "tail_sram")
+            .observe(o.report.tailSramHighWater);
+        r.stats.highWater(pre + "rr").observe(o.report.rrHighWater);
     }
+    out.passed = r.failed == 0;
+    out.failure = fabric::failureText("", plans, out.ports);
     return out;
 }
 
@@ -504,29 +322,14 @@ switchRecord(const SwitchConfig &cfg, const SwitchOutcome &out)
         .set("slots", cfg.slots)
         .set("master_seed", cfg.masterSeed)
         .set("passed", out.passed)
-        .set("failed_ports", r.failedPorts)
-        .set("arrivals", r.arrivals)
-        .set("granted", r.granted)
-        .set("drained", r.drained)
-        .set("drops", r.drops)
-        .set("undelivered", r.undelivered)
-        .set("dram_reads", r.dramReads)
-        .set("dram_writes", r.dramWrites)
-        .set("renames", r.renames)
-        .set("dsa_stalls", r.dsaStalls);
+        .set("failed_ports", r.failed);
+    fabric::addSums(rec, r);
+    rec.set("dsa_stalls", r.dsaStalls);
     // Full across-port spread for the headline stats.
-    for (const char *name :
-         {"granted", "drops", "mean_delay_slots", "max_delay_slots",
-          "head_sram_hw", "rr_hw", "dsa_stalls"}) {
-        const PortStatAgg *a = r.agg(name);
-        panic_if(!a, "switch report: missing aggregate for ", name);
-        const std::string n = name;
-        rec.set(n + "_min", a->min)
-            .set(n + "_max", a->max)
-            .set(n + "_mean", a->mean)
-            .set(n + "_p50", a->p50)
-            .set(n + "_p99", a->p99);
-    }
+    fabric::addSpread(rec, r,
+                      {"granted", "drops", "mean_delay_slots",
+                       "max_delay_slots", "head_sram_hw", "rr_hw",
+                       "dsa_stalls"});
     return rec;
 }
 
@@ -536,44 +339,14 @@ emitSwitchArtifacts(const SwitchConfig &cfg, const SwitchOutcome &out,
                     const std::string &json_path,
                     const std::string &csv_path)
 {
-    if (json_path.empty() && csv_path.empty())
-        return;
-    // Reconstruct the (tasks, report) pair the sweep emitters
-    // expect; the task callables are never run -- only the names
-    // label the rows.
-    std::vector<sweep::Task> tasks;
-    sweep::SweepReport rep;
-    for (std::size_t i = 0; i < out.plans.size(); ++i) {
-        tasks.push_back(sweep::Task{
-            "port" + std::to_string(out.plans[i].port), {}});
-        sweep::TaskResult tr;
-        tr.records.push_back(portRecord(out.plans[i], out.ports[i]));
-        tr.ok = out.ports[i].passed;
-        if (!tr.ok) {
-            tr.error = out.ports[i].failure;
-            ++rep.failed;
-        }
-        rep.results.push_back(std::move(tr));
-    }
-    tasks.push_back(sweep::Task{"aggregate", {}});
-    sweep::TaskResult agg;
-    agg.records.push_back(switchRecord(cfg, out));
-    agg.ok = out.passed;
-    if (!out.passed) {
-        agg.error = out.failure;
-        // Keep the schema invariant: "failed" counts exactly the
-        // rows that carry ok=false, and the aggregate row is one.
-        ++rep.failed;
-    }
-    rep.results.push_back(std::move(agg));
-
     extra_meta.set("switch", cfg.name())
         .set("pattern", sw::toString(cfg.pattern))
         .set("ports", cfg.ports)
         .set("master_seed", cfg.masterSeed);
-    sweep::emitArtifacts(rep, tasks,
-                         sweep::EmitMeta{tool, std::move(extra_meta)},
-                         json_path, csv_path);
+    fabric::emitArtifacts(out, out.ports, portRecord,
+                          switchRecord(cfg, out),
+                          sweep::EmitMeta{tool, std::move(extra_meta)},
+                          json_path, csv_path);
 }
 
 } // namespace pktbuf::sw

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "fabric/fabric.hh"
 #include "sim/scenario.hh"
 #include "sweep/record.hh"
 #include "switch/traffic.hh"
@@ -142,6 +143,9 @@ struct PortPlan
     /** Permutation: the VOQ affinity stripe arrivals cycle over
      *  (empty for every other pattern). */
     std::vector<QueueId> affinity;
+
+    /** "port<p>": the port's row and failure label. */
+    std::string legName() const { return "port" + std::to_string(port); }
 };
 
 /**
@@ -172,52 +176,9 @@ std::unique_ptr<sim::Workload> makePortWorkload(const PortPlan &plan);
  */
 sim::ScenarioOutcome runPort(const PortPlan &plan);
 
-/** sum / min / max / mean / p50 / p99 of one stat across ports. */
-struct PortStatAgg
-{
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double mean = 0.0;
-    double p50 = 0.0;  //!< via P2QuantileSet({0.5, 0.99})
-    double p99 = 0.0;  //!< same estimator; >= p50 by construction
-};
-
-/**
- * Aggregate one per-port stat vector.  Percentiles come from one
- * joint streaming P^2 estimator (P2QuantileSet, common/stats.hh):
- * exact linear interpolation at rank p*(n-1) for up to seven ports,
- * the shared 7-marker approximation beyond, always within
- * [min, max] and with p99 >= p50 guaranteed by the shared sorted
- * marker array.  Deterministic for a given input order, O(1) memory
- * in the port count.
- */
-PortStatAgg aggregateStat(const std::vector<double> &per_port);
-
 /** Switch-level aggregation of the per-port reports. */
-struct SwitchReport
+struct SwitchReport : fabric::Report
 {
-    unsigned ports = 0;
-    std::size_t failedPorts = 0;
-
-    /** Straight sums over ports. */
-    std::uint64_t arrivals = 0;
-    std::uint64_t granted = 0;  //!< golden-verified grants
-    std::uint64_t drained = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t undelivered = 0;
-    std::uint64_t dramReads = 0;
-    std::uint64_t dramWrites = 0;
-    std::uint64_t renames = 0;
-    std::uint64_t dsaStalls = 0;
-
-    /**
-     * Per-stat aggregates across ports, in a fixed canonical order
-     * (the JSON emission order).  Keys are the scenarioRecord field
-     * names ("granted", "drops", "mean_delay_slots", ...).
-     */
-    std::vector<std::pair<std::string, PortStatAgg>> aggregates;
-
     /**
      * Every port's counters and high-water marks, namespaced
      * "port<i>.<stat>" ("port3.granted", "port0.head_sram.max"),
@@ -225,9 +186,6 @@ struct SwitchReport
      * component registry.
      */
     StatRegistry stats;
-
-    /** The named aggregate, or nullptr when absent. */
-    const PortStatAgg *agg(const std::string &name) const;
 };
 
 /** Outcome of a whole switch run. */

@@ -4,21 +4,25 @@
  * invariants for every scheduler x pattern combination, iSLIP's
  * pointer accept rule, a differential oracle against brute-force
  * maximum matchings, the 1x1 == single-buffer byte equivalence, the
- * 16-port uniform throughput floor, checkpoint/restore bit identity
- * and the seeded crossbar fuzz smoke.
+ * 16-port uniform throughput floor, the failure path's text and
+ * artifact accounting, checkpoint/restore bit identity and the
+ * seeded crossbar fuzz smoke.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "artifact_rows.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "crossbar/crossbar_sim.hh"
 #include "crossbar/scheduler.hh"
 #include "fuzz_env.hh"
+#include "soak/checkpoint.hh"
 #include "sweep/scenario_sweep.hh"
 #include "sweep/sweep.hh"
 
@@ -445,6 +449,37 @@ TEST(CrossbarRun, RepeatRunsAreByteIdentical)
               outcomeJson(cfg, runCrossbar(cfg)));
 }
 
+TEST(CrossbarFailure, FailedInputsFailTheRunAndTheArtifact)
+{
+    // One slot at load 0.05: inputs see no arrival, deliver no cells
+    // and fail their leg's liveness invariant.
+    CrossbarConfig cfg = baseConfig(4, sw::TrafficPattern::Uniform, 1);
+    cfg.load = 0.05;
+    const auto out = runCrossbar(cfg);
+    EXPECT_FALSE(out.passed);
+    ASSERT_GT(out.report.failed, 0u);
+    for (std::size_t i = 0; i < out.inputs.size(); ++i) {
+        if (!out.inputs[i].passed) {
+            EXPECT_NE(out.failure.find("input" + std::to_string(i) + ": "),
+                      std::string::npos)
+                << out.failure;
+        }
+    }
+    EXPECT_NE(out.failure.find("master_seed=" +
+                               std::to_string(cfg.masterSeed)),
+              std::string::npos)
+        << out.failure;
+
+    // The artifact's "failed" counts exactly its ok=false rows: every
+    // failed input's and the aggregate's.
+    const std::string path = testing::TempDir() + "/xbar_failure.json";
+    emitCrossbarArtifacts(cfg, out, "test", {}, path, "");
+    const auto rows = testutil::readArtifactRows(path);
+    EXPECT_EQ(rows.failed, rows.okFalse);
+    EXPECT_EQ(rows.failed, out.report.failed + 1);
+    std::remove(path.c_str());
+}
+
 TEST(CrossbarCheckpoint, RestoreIsBitIdenticalForEveryScheduler)
 {
     // Checkpoint every 700 slots (deliberately not a divisor of the
@@ -460,7 +495,8 @@ TEST(CrossbarCheckpoint, RestoreIsBitIdenticalForEveryScheduler)
             cfg.scheduler = kind;
             const auto plain = runCrossbar(cfg);
             ASSERT_TRUE(plain.passed) << plain.failure;
-            const auto stitched = runCrossbarCheckpointed(cfg, 700);
+            const auto stitched =
+                soak::runCheckpointed<CrossbarRun>(cfg, 700);
             ASSERT_TRUE(stitched.passed) << stitched.failure;
             EXPECT_EQ(outcomeJson(cfg, plain),
                       outcomeJson(cfg, stitched));
@@ -536,7 +572,8 @@ TEST(CrossbarFuzz, CrossbarFuzzSmoke)
                      + std::to_string(every));
         const auto plain = runCrossbar(cfg);
         ASSERT_TRUE(plain.passed) << plain.failure;
-        const auto stitched = runCrossbarCheckpointed(cfg, every);
+        const auto stitched =
+            soak::runCheckpointed<CrossbarRun>(cfg, every);
         ASSERT_TRUE(stitched.passed) << stitched.failure;
         ASSERT_EQ(outcomeJson(cfg, plain),
                   outcomeJson(cfg, stitched));

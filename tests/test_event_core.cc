@@ -233,7 +233,7 @@ TEST(EventCoreFuzzSmoke, RandomLegsMatchReference)
         const auto ref = sim::runScenario(s);
         const sim::Scenario evt_leg = eventTwin(s);
         const auto evt =
-            soak::runScenarioCheckpointed(evt_leg, every);
+            soak::runCheckpointed<soak::ScenarioRun>(evt_leg, every);
         expectIdenticalOutcomes(s, ref, evt_leg, evt);
     }
 }

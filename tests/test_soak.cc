@@ -23,6 +23,7 @@
 #include "common/random.hh"
 #include "common/serialize.hh"
 #include "common/stats.hh"
+#include "fabric/fabric.hh"
 #include "fuzz_env.hh"
 #include "soak/checkpoint.hh"
 #include "sweep/scenario_sweep.hh"
@@ -315,7 +316,7 @@ TEST(AggregateStat, MatchesExactPercentiles)
 {
     // <= 5 ports: the aggregation is exact by construction.
     const std::vector<double> four = {4.0, 1.0, 3.0, 2.0};
-    const auto a = sw::aggregateStat(four);
+    const auto a = fabric::aggregateStat(four);
     EXPECT_DOUBLE_EQ(a.p50, exactQuantile(four, 0.50));
     EXPECT_DOUBLE_EQ(a.p99, exactQuantile(four, 0.99));
     EXPECT_DOUBLE_EQ(a.max, 4.0);
@@ -327,7 +328,7 @@ TEST(AggregateStat, MatchesExactPercentiles)
     Rng rng(11);
     for (int i = 0; i < 64; ++i)
         many.push_back(static_cast<double>(rng.below(1000)));
-    const auto m = sw::aggregateStat(many);
+    const auto m = fabric::aggregateStat(many);
     EXPECT_NEAR(m.p50, exactQuantile(many, 0.50), 60.0);
     EXPECT_GE(m.p99, m.p50);
     EXPECT_GE(m.p50, m.min);
@@ -492,7 +493,7 @@ TEST(SoakBitIdentity, CheckpointEveryMSelfTest)
         SCOPED_TRACE(s.describe());
         const auto plain = sim::runScenario(s);
         const auto seg =
-            soak::runScenarioCheckpointed(s, s.slots / 7 + 1);
+            soak::runCheckpointed<soak::ScenarioRun>(s, s.slots / 7 + 1);
         EXPECT_EQ(recordBytes(s, seg), recordBytes(s, plain));
     }
 }
@@ -565,7 +566,7 @@ TEST(SoakFuzzSmoke, RandomLegsSurviveCheckpointCycles)
         SCOPED_TRACE(desc.str());
         const bool failed_before = ::testing::Test::HasFailure();
         const auto plain = sim::runScenario(s);
-        const auto seg = soak::runScenarioCheckpointed(s, every);
+        const auto seg = soak::runCheckpointed<soak::ScenarioRun>(s, every);
         EXPECT_EQ(seg.passed, plain.passed)
             << "plain: " << plain.failure
             << " seg: " << seg.failure;

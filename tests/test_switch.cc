@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "artifact_rows.hh"
 #include "common/logging.hh"
+#include "fabric/fabric.hh"
 #include "sweep/scenario_sweep.hh"
 #include "sweep/sweep.hh"
 #include "switch/switch_sim.hh"
@@ -338,7 +340,7 @@ TEST(SwitchPatterns, PermutationBuildsSeededAffinityStripes)
 
 TEST(SwitchAggregate, StatAggregationMatchesHandComputation)
 {
-    const auto a = aggregateStat({4.0, 1.0, 3.0, 2.0});
+    const auto a = fabric::aggregateStat({4.0, 1.0, 3.0, 2.0});
     EXPECT_DOUBLE_EQ(a.sum, 10.0);
     EXPECT_DOUBLE_EQ(a.min, 1.0);
     EXPECT_DOUBLE_EQ(a.max, 4.0);
@@ -349,12 +351,12 @@ TEST(SwitchAggregate, StatAggregationMatchesHandComputation)
     EXPECT_LE(a.p99, a.max);
 
     // All-zero stats must not report histogram bucket bounds.
-    const auto z = aggregateStat({0.0, 0.0, 0.0});
+    const auto z = fabric::aggregateStat({0.0, 0.0, 0.0});
     EXPECT_DOUBLE_EQ(z.p50, 0.0);
     EXPECT_DOUBLE_EQ(z.p99, 0.0);
     EXPECT_DOUBLE_EQ(z.max, 0.0);
 
-    const auto e = aggregateStat({});
+    const auto e = fabric::aggregateStat({});
     EXPECT_DOUBLE_EQ(e.sum, 0.0);
     EXPECT_DOUBLE_EQ(e.max, 0.0);
 }
@@ -390,7 +392,7 @@ TEST(SwitchFailure, FailingPortFailsTheSwitchAndNamesItsSeed)
     plans[1].scenario.gran = 64;
     const auto out = runPlans(plans, 2);
     EXPECT_FALSE(out.passed);
-    EXPECT_EQ(out.report.failedPorts, 1u);
+    EXPECT_EQ(out.report.failed, 1u);
     EXPECT_NE(out.failure.find("port1"), std::string::npos)
         << out.failure;
     EXPECT_NE(out.failure.find(
@@ -401,6 +403,15 @@ TEST(SwitchFailure, FailingPortFailsTheSwitchAndNamesItsSeed)
     EXPECT_TRUE(out.ports[0].passed);
     EXPECT_TRUE(out.ports[2].passed);
     EXPECT_GT(out.report.granted, 0u);
+
+    // The artifact's "failed" counts exactly its ok=false rows: the
+    // failed port's and the aggregate's.
+    const std::string path = testing::TempDir() + "/switch_failure.json";
+    emitSwitchArtifacts(cfg, out, "test", {}, path, "");
+    const auto rows = testutil::readArtifactRows(path);
+    EXPECT_EQ(rows.failed, rows.okFalse);
+    EXPECT_EQ(rows.failed, out.report.failed + 1);
+    std::remove(path.c_str());
 }
 
 } // namespace
