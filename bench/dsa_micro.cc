@@ -42,7 +42,11 @@ BM_SelectOldestReady(benchmark::State &state)
     // A quarter of the banks are locked, so the scan skips work.
     for (auto _ : state) {
         auto sel = rr.selectOldestReady(
-            [](unsigned bank) { return bank % 4 == 0; });
+            [](const DramRequest &r) -> std::optional<dram::StallCause> {
+                if (r.bank % 4 == 0)
+                    return dram::StallCause::BankBusy;
+                return std::nullopt;
+            });
         benchmark::DoNotOptimize(sel);
         if (sel)
             rr.push(*sel); // keep occupancy constant

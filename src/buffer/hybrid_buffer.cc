@@ -233,7 +233,8 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
       dram_(phys_queues_, gran_, map_.groups(),
             resolveGroupCapacity(cfg, map_.groups())),
       tail_(phys_queues_, resolveTailCells(cfg)),
-      head_(phys_queues_, resolveHeadCells(cfg, resolveLookahead(cfg))),
+      head_(phys_queues_, gran_,
+            resolveHeadCells(cfg, resolveLookahead(cfg))),
       hmma_(phys_queues_),
       mdqf_(phys_queues_),
       tmma_(phys_queues_),
@@ -332,19 +333,20 @@ HybridBuffer::processCompletions(Slot now)
 {
     // Uniform timing completes in launch (FIFO) order; heterogeneous
     // bank groups can finish a fast bank's read behind a slow one,
-    // so the whole (small) deque is scanned.  The head SRAM consumes
-    // blocks in replenish-sequence order per queue either way.
-    for (auto it = completions_.begin(); it != completions_.end();) {
-        if (it->at > now) {
-            ++it;
+    // so the whole (small) window is scanned, and a read taken out
+    // of order leaves a hole.  The head SRAM consumes blocks in
+    // replenish-sequence order per queue either way.
+    for (std::uint64_t k = completions_.base();
+         k < completions_.base() + completions_.span(); ++k) {
+        const Completion *c = completions_.find(k);
+        if (!c || c->at > now)
             continue;
-        }
         if (trace)
-            *trace << "t" << now << " complete read q" << it->phys
-                   << " seq " << it->replenishSeq << "\n";
-        head_.insertBlock(it->phys, it->replenishSeq,
-                          std::move(it->cells));
-        it = completions_.erase(it);
+            *trace << "t" << now << " complete read q" << c->phys
+                   << " seq " << c->replenishSeq << "\n";
+        Completion done = completions_.take(k);
+        head_.insertBlock(done.phys, done.replenishSeq,
+                          std::move(done.cells));
     }
 }
 
@@ -542,9 +544,9 @@ HybridBuffer::launchRead(const dss::DramRequest &req, Slot now)
         *trace << "t" << now << " launch read q" << req.physQueue
                << " ord " << req.blockOrdinal << " bank " << req.bank
                << " done@" << done << "\n";
-    completions_.push_back(Completion{done, req.physQueue,
-                                      req.replenishSeq,
-                                      std::move(cells)});
+    completions_.pushBack(Completion{done, req.physQueue,
+                                     req.replenishSeq,
+                                     std::move(cells)});
     dram_reads_.inc();
 }
 
@@ -575,9 +577,10 @@ HybridBuffer::recyclePhys(QueueId p)
     tail_.recycle(p);
     panic_if(pending_unlaunched_writes_[p] != 0,
              "recycling queue ", p, " with pending writes");
-    for (const auto &c : completions_)
+    completions_.forEach([p](std::uint64_t, const Completion &c) {
         panic_if(c.phys == p,
                  "recycling queue ", p, " with in-flight reads");
+    });
     panic_if(hmma_.occupancy(p) != 0,
              "recycling queue ", p, " with MMA credit ",
              hmma_.occupancy(p));
@@ -721,14 +724,14 @@ HybridBuffer::save(ser::Writer &w) const
     saveU64Vec(w, pending_unlaunched_writes_);
     saveU64Vec(w, committed_);
     w.u64(completions_.size());
-    for (const auto &c : completions_) {
+    completions_.forEach([&](std::uint64_t, const Completion &c) {
         w.u64(c.at);
         w.u32(c.phys);
         w.u64(c.replenishSeq);
         w.u64(c.cells.size());
         for (const auto &cell : c.cells)
             cell.save(w);
-    }
+    });
     stats_.save(w);
     arrivals_.save(w);
     grants_.save(w);
@@ -782,18 +785,30 @@ HybridBuffer::load(ser::Reader &r)
     loadU64Vec(r, pending_unlaunched_writes_,
                "pending_unlaunched_writes");
     loadU64Vec(r, committed_, "committed");
+    // An in-flight read is a header (slot, queue, seq, cell count)
+    // and exactly one DRAM block of b cells: the bytes left bound
+    // the count before any allocation.
     completions_.clear();
     const auto nc = r.u64();
+    const std::uint64_t read_bytes =
+        8 + 4 + 8 + 8 + gran_ * Cell::kSavedBytes;
+    fatal_if(nc > r.remaining() / read_bytes,
+             "checkpoint: buffer claims ", nc, " in-flight reads with ",
+             r.remaining(), " bytes left");
     for (std::uint64_t i = 0; i < nc; ++i) {
         Completion c;
         c.at = r.u64();
         c.phys = r.u32();
         c.replenishSeq = r.u64();
         const auto ncell = r.u64();
-        c.cells.resize(ncell);
+        fatal_if(ncell != gran_, "checkpoint: in-flight read of ",
+                 ncell, " cells, granularity is ", gran_);
+        fatal_if(c.phys >= phys_queues_, "checkpoint: in-flight read"
+                 " for queue ", c.phys, " of ", phys_queues_);
+        c.cells.resize(gran_);
         for (auto &cell : c.cells)
             cell.load(r);
-        completions_.push_back(std::move(c));
+        completions_.pushBack(std::move(c));
     }
     stats_.load(r);
     arrivals_.load(r);

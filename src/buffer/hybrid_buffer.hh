@@ -20,13 +20,13 @@
 #ifndef PKTBUF_BUFFER_HYBRID_BUFFER_HH
 #define PKTBUF_BUFFER_HYBRID_BUFFER_HH
 
-#include <deque>
 #include <memory>
 #include <ostream>
 #include <optional>
 #include <vector>
 
 #include "buffer/packet_buffer.hh"
+#include "common/key_window.hh"
 #include "common/shift_register.hh"
 #include "common/stats.hh"
 #include "dram/address_map.hh"
@@ -191,7 +191,8 @@ class HybridBuffer final : public PacketBuffer
     std::vector<std::uint64_t> committed_;
     std::uint64_t group_capacity_ = 0;  // ser: config
 
-    std::deque<Completion> completions_;
+    /** In-flight DRAM reads, keyed by launch order. */
+    KeyWindow<Completion> completions_;
 
     StatRegistry stats_;
     Counter arrivals_;

@@ -47,6 +47,10 @@ struct Cell
     SeqNum seq = 0;
     Slot arrival = 0;
 
+    /** Bytes save() writes (u32 queue, u64 seq, u64 arrival): lets a
+     *  checkpoint load bound a cell count by the bytes left. */
+    static constexpr std::size_t kSavedBytes = 4 + 8 + 8;
+
     /** Deterministic identity stamp used by integrity checks. */
     std::uint64_t
     stamp() const

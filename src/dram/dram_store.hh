@@ -8,16 +8,19 @@
  * Timing lives in BankState / the ORR; this class only stores data.
  * Ordinal keying lets the DSA launch same-queue accesses out of
  * order (reads are re-sequenced in the head SRAM, Section 8.2)
- * without corrupting queue contents.
+ * without corrupting queue contents.  Each queue's blocks live in a
+ * flat KeyWindow indexed by `ordinal - base`: a read launched ahead
+ * of an older one leaves a hole, and a bypass squash rewinds the
+ * write ordinal so a later write may land below the base.
  */
 
 #ifndef PKTBUF_DRAM_DRAM_STORE_HH
 #define PKTBUF_DRAM_DRAM_STORE_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "common/key_window.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -52,7 +55,7 @@ class DramStore
     bool
     hasBlock(QueueId p, std::uint64_t ordinal) const
     {
-        return q(p).blocks.count(ordinal) != 0;
+        return q(p).blocks.contains(ordinal);
     }
 
     /** Blocks of queue p currently resident. */
@@ -72,9 +75,9 @@ class DramStore
         panic_if(group >= group_cells_.size(),
                  "bad group on block write");
         auto &qq = q(p);
-        panic_if(qq.blocks.count(ordinal),
+        panic_if(qq.blocks.contains(ordinal),
                  "duplicate block ordinal ", ordinal, " on queue ", p);
-        qq.blocks.emplace(ordinal, std::move(cells));
+        qq.blocks.insert(ordinal, std::move(cells));
         group_cells_[group] += gran_;
         panic_if(group_capacity_ &&
                  group_cells_[group] > group_capacity_,
@@ -88,11 +91,9 @@ class DramStore
     readBlock(QueueId p, std::uint64_t ordinal, unsigned group)
     {
         auto &qq = q(p);
-        auto it = qq.blocks.find(ordinal);
-        panic_if(it == qq.blocks.end(),
+        panic_if(!qq.blocks.contains(ordinal),
                  "read of absent block ", ordinal, " on queue ", p);
-        std::vector<Cell> out = std::move(it->second);
-        qq.blocks.erase(it);
+        std::vector<Cell> out = qq.blocks.take(ordinal);
         panic_if(group_cells_[group] < gran_, "group accounting bug");
         group_cells_[group] -= gran_;
         return out;
@@ -138,12 +139,13 @@ class DramStore
         w.u64(queues_.size());
         for (const auto &qq : queues_) {
             w.u64(qq.blocks.size());
-            for (const auto &[ordinal, cells] : qq.blocks) {
+            qq.blocks.forEach([&](std::uint64_t ordinal,
+                                  const std::vector<Cell> &cells) {
                 w.u64(ordinal);
                 w.u64(cells.size());
                 for (const auto &c : cells)
                     c.save(w);
-            }
+            });
         }
     }
 
@@ -160,16 +162,27 @@ class DramStore
         const auto nq = r.u64();
         fatal_if(nq != queues_.size(), "checkpoint: DRAM has ", nq,
                  " queues, configured ", queues_.size());
+        // Every block is an ordinal, a count and exactly b cells, so
+        // the bytes left bound the block count before anything is
+        // allocated from it.
+        const std::uint64_t block_bytes = 8 + 8 + gran_ * Cell::kSavedBytes;
         for (auto &qq : queues_) {
             qq.blocks.clear();
             const auto nb = r.u64();
+            fatal_if(nb > r.remaining() / block_bytes,
+                     "checkpoint: DRAM queue claims ", nb,
+                     " blocks with ", r.remaining(), " bytes left");
             for (std::uint64_t i = 0; i < nb; ++i) {
                 const auto ordinal = r.u64();
                 const auto nc = r.u64();
-                std::vector<Cell> cells(nc);
+                fatal_if(nc != gran_, "checkpoint: DRAM block ",
+                         ordinal, " holds ", nc,
+                         " cells, granularity is ", gran_);
+                std::vector<Cell> cells(gran_);
                 for (auto &c : cells)
                     c.load(r);
-                qq.blocks.emplace(ordinal, std::move(cells));
+                qq.blocks.restore(ordinal, std::move(cells), nb,
+                                  "DRAM block ordinal");
             }
         }
     }
@@ -177,7 +190,7 @@ class DramStore
   private:
     struct QueueData
     {
-        std::map<std::uint64_t, std::vector<Cell>> blocks;
+        KeyWindow<std::vector<Cell>> blocks;
     };
 
     const QueueData &

@@ -8,7 +8,10 @@
  * In hardware this is a short shift register of bank ids; here it is
  * the shared lock table for the read and write schedulers, pruned by
  * completion time, plus occupancy statistics so tests can check the
- * paper's ORR sizing (B/b - 1 per request stream).
+ * paper's ORR sizing (B/b - 1 per request stream).  The DSA probes
+ * the lock of every RR entry on every launch opportunity, so the
+ * table prunes once per slot and answers each probe from a per-bank
+ * busy-until array rather than a scan of the entries.
  *
  * Timing is delegated to a `dram::DramTiming` policy object rather
  * than a scalar access time: besides the per-bank t_RC lock window,
@@ -21,10 +24,11 @@
 #ifndef PKTBUF_DSS_ONGOING_REQUESTS_HH
 #define PKTBUF_DSS_ONGOING_REQUESTS_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -51,6 +55,7 @@ class OngoingRequests
         : timing_(std::move(timing))
     {
         panic_if(!timing_, "null timing policy");
+        busy_until_.resize(timing_->banks(), 0);
     }
 
     /**
@@ -73,7 +78,11 @@ class OngoingRequests
                  "DSA launched a ",
                  kind == dram::AccessKind::Read ? "read" : "write",
                  " at slot ", now, " inside the turnaround window");
-        entries_.push_back({bank, now + timing_->accessSlots(bank)});
+        const Slot unlock = now + timing_->accessSlots(bank);
+        entries_.push_back({bank, unlock});
+        if (bank >= busy_until_.size())
+            busy_until_.resize(bank + 1, 0);
+        busy_until_[bank] = unlock;
         if (timing_->turnaround() > 0) {
             Slot &other = kind == dram::AccessKind::Read ? write_ok_
                                                          : read_ok_;
@@ -140,17 +149,32 @@ class OngoingRequests
         high_water_.save(w);
     }
 
+    /** Restore the entries as saved; the busy table is rebuilt from
+     *  them and the prune memo forgotten. */
     void
     load(ser::Reader &r)
     {
         r.tag("ORRG");
         entries_.clear();
+        std::fill(busy_until_.begin(), busy_until_.end(), 0);
+        pruned_at_.reset();
         const auto n = r.u64();
+        constexpr std::uint64_t entry_bytes = 4 + 8;  // bank, until
+        fatal_if(n > r.remaining() / entry_bytes, "checkpoint: ORR claims ",
+                 n, " entries with ", r.remaining(), " bytes left");
         for (std::uint64_t i = 0; i < n; ++i) {
             Entry e;
             e.bank = r.u32();
             e.until = r.u64();
+            fatal_if(e.bank >= kMaxBanks, "checkpoint: ORR bank ",
+                     e.bank, " is out of range");
+            fatal_if(e.until == 0 || lockedNoPrune(e.bank),
+                     "checkpoint: ORR entry for bank ", e.bank,
+                     " is repeated or expires at slot 0");
             entries_.push_back(e);
+            if (e.bank >= busy_until_.size())
+                busy_until_.resize(e.bank + 1, 0);
+            busy_until_[e.bank] = e.until;
         }
         read_ok_ = r.u64();
         write_ok_ = r.u64();
@@ -171,32 +195,47 @@ class OngoingRequests
         return kind == dram::AccessKind::Read ? read_ok_ : write_ok_;
     }
 
+    /** Does the bank hold an entry?  An entry's expiry slot is never
+     *  0 (t_RC >= 1), so 0 marks a free bank. */
     bool
     lockedNoPrune(unsigned bank) const
     {
-        for (const auto &e : entries_)
-            if (e.bank == bank)
-                return true;
-        return false;
+        return bank < busy_until_.size() && busy_until_[bank] != 0;
     }
 
     void
     prune(Slot now)
     {
+        // add() only inserts entries expiring after its `now`, so a
+        // second prune at the same slot would remove nothing.
+        if (pruned_at_ == now)
+            return;
+        pruned_at_ = now;
         // Under uniform t_RC expirations are FIFO, but heterogeneous
         // bank groups can expire a fast bank behind a slow one, so
-        // the whole table is scanned (it holds at most a handful of
-        // in-flight accesses).
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            if (it->until <= now)
-                it = entries_.erase(it);
+        // the whole table is compacted in place, keeping launch
+        // order (it holds at most a handful of in-flight accesses).
+        std::size_t kept = 0;
+        for (const auto &e : entries_) {
+            if (e.until <= now)
+                busy_until_[e.bank] = 0;
             else
-                ++it;
+                entries_[kept++] = e;
         }
+        entries_.resize(kept);
     }
 
+    /** Bank ids a checkpoint may name: far above any configuration,
+     *  low enough that the busy table cannot be sized from junk. */
+    static constexpr unsigned kMaxBanks = 1u << 20;
+
     std::shared_ptr<const dram::DramTiming> timing_;  // ser: config
-    std::deque<Entry> entries_;
+    /** Live lock entries in launch order (the checkpoint order). */
+    std::vector<Entry> entries_;
+    /** Per bank: expiry slot of its live entry, 0 if none. */
+    std::vector<Slot> busy_until_;  // ser: derived
+    /** Slot of the last prune, if any. */
+    std::optional<Slot> pruned_at_;  // ser: derived
     Slot read_ok_ = 0;   //!< earliest legal read launch (turnaround)
     Slot write_ok_ = 0;  //!< earliest legal write launch
     HighWater high_water_;

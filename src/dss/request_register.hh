@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -70,11 +69,7 @@ class RequestRegister
      *                        blocking, not a timing stall, and is
      *                        never reported here.
      */
-    template <typename BlockedFn,
-              std::enable_if_t<std::is_invocable_r_v<
-                                   std::optional<dram::StallCause>,
-                                   BlockedFn, const DramRequest &>,
-                               int> = 0>
+    template <typename BlockedFn>
     std::optional<DramRequest>
     selectOldestReady(
         const BlockedFn &blocked,
@@ -109,23 +104,6 @@ class RequestRegister
             return req;
         }
         return std::nullopt;
-    }
-
-    /** Legacy bank-lock form: `locked(bank)` maps to BankBusy. */
-    template <typename LockedFn,
-              std::enable_if_t<std::is_invocable_r_v<bool, LockedFn,
-                                                     unsigned>,
-                               int> = 0>
-    std::optional<DramRequest>
-    selectOldestReady(const LockedFn &locked)
-    {
-        return selectOldestReady(
-            [&](const DramRequest &r)
-                -> std::optional<dram::StallCause> {
-                if (locked(r.bank))
-                    return dram::StallCause::BankBusy;
-                return std::nullopt;
-            });
     }
 
     /**

@@ -9,16 +9,18 @@
  * MMA issue time, and the reader always consumes the lowest
  * outstanding sequence.  A pop that does not find its cell is a
  * *miss* and panics -- the zero-miss guarantee is an invariant here,
- * not a statistic.
+ * not a statistic.  Each queue's blocks live in a flat KeyWindow
+ * indexed by replenish sequence; a refill that completes early
+ * leaves a hole at the older sequence until its block arrives.
  */
 
 #ifndef PKTBUF_SRAM_HEAD_SRAM_HH
 #define PKTBUF_SRAM_HEAD_SRAM_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "common/key_window.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -29,10 +31,17 @@ namespace pktbuf::sram
 class HeadSram
 {
   public:
-    /** @param capacity_cells 0 = unbounded (measurement mode). */
-    HeadSram(unsigned phys_queues, std::uint64_t capacity_cells)
-        : queues_(phys_queues), capacity_(capacity_cells)
-    {}
+    /**
+     * @param gran           cells per block (b): a refill carries
+     *                       1..b cells (a bypass may carry fewer)
+     * @param capacity_cells 0 = unbounded (measurement mode).
+     */
+    HeadSram(unsigned phys_queues, unsigned gran,
+             std::uint64_t capacity_cells)
+        : queues_(phys_queues), gran_(gran), capacity_(capacity_cells)
+    {
+        panic_if(gran == 0, "h-SRAM with zero block size");
+    }
 
     /**
      * Insert a replenished block.  `seq` is the per-queue replenish
@@ -50,11 +59,13 @@ class HeadSram
         panic_if(seq < qq.next_consume_seq,
                  "replenish seq ", seq, " for queue ", p,
                  " already consumed");
-        panic_if(qq.blocks.count(seq),
+        panic_if(qq.blocks.contains(seq),
                  "duplicate replenish seq ", seq, " on queue ", p);
         panic_if(cells.empty(), "empty replenish block");
+        panic_if(cells.size() > gran_, "replenish block of ",
+                 cells.size(), " cells exceeds b = ", gran_);
         occupancy_ += cells.size();
-        qq.blocks.emplace(seq, Block{std::move(cells), 0});
+        qq.blocks.insert(seq, Block{std::move(cells), 0});
         high_water_.observe(static_cast<std::int64_t>(occupancy_));
         panic_if(capacity_ && occupancy_ > capacity_,
                  "h-SRAM overflow: ", occupancy_, " cells > capacity ",
@@ -69,15 +80,14 @@ class HeadSram
     pop(QueueId p)
     {
         auto &qq = q(p);
-        auto it = qq.blocks.find(qq.next_consume_seq);
-        panic_if(it == qq.blocks.end(),
+        Block *blk = qq.blocks.find(qq.next_consume_seq);
+        panic_if(!blk,
                  "MISS: queue ", p, " has no cells for replenish seq ",
                  qq.next_consume_seq,
                  " in h-SRAM at grant time");
-        Block &blk = it->second;
-        Cell c = blk.cells[blk.consumed++];
-        if (blk.consumed == blk.cells.size()) {
-            qq.blocks.erase(it);
+        Cell c = blk->cells[blk->consumed++];
+        if (blk->consumed == blk->cells.size()) {
+            qq.blocks.take(qq.next_consume_seq);
             ++qq.next_consume_seq;
         }
         panic_if(occupancy_ == 0, "h-SRAM occupancy accounting bug");
@@ -90,7 +100,7 @@ class HeadSram
     wouldMiss(QueueId p) const
     {
         const auto &qq = q(p);
-        return !qq.blocks.count(qq.next_consume_seq);
+        return !qq.blocks.contains(qq.next_consume_seq);
     }
 
     /** Physical cells of queue p currently in the SRAM. */
@@ -99,8 +109,9 @@ class HeadSram
     {
         const auto &qq = q(p);
         std::uint64_t n = 0;
-        for (const auto &[s, blk] : qq.blocks)
+        qq.blocks.forEach([&](std::uint64_t, const Block &blk) {
             n += blk.cells.size() - blk.consumed;
+        });
         return n;
     }
 
@@ -127,13 +138,13 @@ class HeadSram
         for (const auto &qq : queues_) {
             w.u64(qq.next_consume_seq);
             w.u64(qq.blocks.size());
-            for (const auto &[seq, blk] : qq.blocks) {
+            qq.blocks.forEach([&](std::uint64_t seq, const Block &blk) {
                 w.u64(seq);
                 w.u64(blk.consumed);
                 w.u64(blk.cells.size());
                 for (const auto &c : blk.cells)
                     c.save(w);
-            }
+            });
         }
         w.u64(occupancy_);
         high_water_.save(w);
@@ -146,19 +157,38 @@ class HeadSram
         const auto n = r.u64();
         fatal_if(n != queues_.size(), "checkpoint: h-SRAM has ", n,
                  " queues, configured ", queues_.size());
+        // A block is a seq, a consumed count, a cell count and at
+        // least one cell: the bytes left bound the block count, and
+        // each block's shape is checked before its cells are read.
+        constexpr std::uint64_t min_block_bytes =
+            8 + 8 + 8 + Cell::kSavedBytes;
         for (auto &qq : queues_) {
             qq.next_consume_seq = r.u64();
             qq.blocks.clear();
             const auto nb = r.u64();
+            fatal_if(nb > r.remaining() / min_block_bytes,
+                     "checkpoint: h-SRAM queue claims ", nb,
+                     " blocks with ", r.remaining(), " bytes left");
             for (std::uint64_t i = 0; i < nb; ++i) {
                 const auto seq = r.u64();
+                fatal_if(seq < qq.next_consume_seq,
+                         "checkpoint: h-SRAM block seq ", seq,
+                         " precedes the next consumed seq ",
+                         qq.next_consume_seq);
                 Block blk;
                 blk.consumed = r.u64();
                 const auto nc = r.u64();
+                fatal_if(nc == 0 || nc > gran_,
+                         "checkpoint: h-SRAM block seq ", seq, " holds ",
+                         nc, " cells, allowed 1..", gran_);
+                fatal_if(blk.consumed >= nc,
+                         "checkpoint: h-SRAM block seq ", seq,
+                         " consumed ", blk.consumed, " of ", nc, " cells");
                 blk.cells.resize(nc);
                 for (auto &c : blk.cells)
                     c.load(r);
-                qq.blocks.emplace(seq, std::move(blk));
+                qq.blocks.restore(seq, std::move(blk), nb,
+                                  "h-SRAM replenish seq");
             }
         }
         occupancy_ = r.u64();
@@ -175,7 +205,7 @@ class HeadSram
 
     struct QueueState
     {
-        std::map<std::uint64_t, Block> blocks;
+        KeyWindow<Block> blocks;
         std::uint64_t next_consume_seq = 0;
     };
 
@@ -196,6 +226,7 @@ class HeadSram
     }
 
     std::vector<QueueState> queues_;
+    unsigned gran_;  // ser: config
     std::uint64_t capacity_;  // ser: config
     std::uint64_t occupancy_ = 0;
     HighWater high_water_;

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the common substrate: types, logging, RNG,
- * statistics, shift register.
+ * statistics, shift register, key window.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "common/key_window.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/shift_register.hh"
@@ -217,4 +219,96 @@ TEST(ShiftRegister, PeekBeyondDepthPanics)
 {
     ShiftRegister<int> sr(2, 0);
     EXPECT_THROW(sr.peek(2), PanicError);
+}
+
+TEST(KeyWindow, EmptyUntilFirstInsert)
+{
+    KeyWindow<int> w;
+    EXPECT_TRUE(w.empty());
+    EXPECT_EQ(w.find(0), nullptr);
+    EXPECT_EQ(w.find(UINT64_MAX), nullptr);
+    w.insert(UINT64_MAX - 1, 7);
+    EXPECT_EQ(*w.find(UINT64_MAX - 1), 7);
+    EXPECT_EQ(w.find(UINT64_MAX), nullptr);
+    EXPECT_EQ(w.take(UINT64_MAX - 1), 7);
+    EXPECT_TRUE(w.empty());
+    EXPECT_EQ(w.span(), 0u);
+}
+
+TEST(KeyWindow, TrimsBothEndsAndGrowsBelowBase)
+{
+    KeyWindow<int> w;
+    for (int k = 10; k < 14; ++k)
+        w.insert(static_cast<std::uint64_t>(k), k);
+    w.take(11);  // a hole
+    EXPECT_EQ(w.span(), 4u);
+    w.take(10);  // the front goes, and the hole behind it
+    EXPECT_EQ(w.base(), 12u);
+    EXPECT_EQ(w.span(), 2u);
+    w.take(13);
+    EXPECT_EQ(w.span(), 1u);
+    w.insert(3, 3);  // far below the base
+    EXPECT_EQ(w.base(), 3u);
+    EXPECT_EQ(w.span(), 10u);
+    std::vector<std::uint64_t> keys;
+    w.forEach([&](std::uint64_t k, int v) {
+        EXPECT_EQ(static_cast<std::uint64_t>(v), k);
+        keys.push_back(k);
+    });
+    EXPECT_EQ(keys, (std::vector<std::uint64_t>{3, 12}));
+    EXPECT_EQ(w.pushBack(13), 13);
+    EXPECT_EQ(*w.find(13), 13);
+}
+
+TEST(KeyWindow, RestoreRejectsDisorderAndWideGaps)
+{
+    KeyWindow<int> w;
+    w.restore(5, 5, 3, "test key");
+    EXPECT_THROW(w.restore(5, 5, 3, "test key"), FatalError);
+    EXPECT_THROW(w.restore(4, 4, 3, "test key"), FatalError);
+    EXPECT_THROW(
+        w.restore(5 + 3 + KeyWindow<int>::kRestoreHoles, 0, 3, "test key"),
+        FatalError);
+    EXPECT_NO_THROW(w.restore(9, 9, 3, "test key"));
+    EXPECT_EQ(w.size(), 2u);
+
+    KeyWindow<int> top;  // the last key of the u64 range
+    top.restore(UINT64_MAX, 1, 2, "test key");
+    EXPECT_THROW(top.restore(UINT64_MAX, 2, 2, "test key"), FatalError);
+}
+
+TEST(KeyWindow, RandomOperationsMatchAnOrderedMap)
+{
+    // Keys drift upward around a moving front, like block ordinals;
+    // inserts land below, inside and above the live span.
+    KeyWindow<std::uint64_t> w;
+    std::map<std::uint64_t, std::uint64_t> ref;
+    Rng rng(99);
+    std::uint64_t front = 1000;
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t key = front - 20 + rng.below(60);
+        if (rng.chance(0.5) && !ref.count(key)) {
+            w.insert(key, key * 3);
+            ref.emplace(key, key * 3);
+        } else if (ref.count(key)) {
+            ASSERT_EQ(w.take(key), ref[key]);
+            ref.erase(key);
+        }
+        if (rng.chance(0.05))
+            front += rng.below(8);
+        ASSERT_EQ(w.size(), ref.size());
+        ASSERT_EQ(w.contains(key), ref.count(key) != 0);
+        if (!ref.empty()) {
+            ASSERT_EQ(w.base(), ref.begin()->first);
+            ASSERT_EQ(w.base() + w.span() - 1, ref.rbegin()->first);
+        }
+    }
+    auto it = ref.begin();
+    w.forEach([&](std::uint64_t k, std::uint64_t v) {
+        ASSERT_NE(it, ref.end());
+        EXPECT_EQ(k, it->first);
+        EXPECT_EQ(v, it->second);
+        ++it;
+    });
+    EXPECT_EQ(it, ref.end());
 }

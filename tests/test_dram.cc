@@ -144,6 +144,179 @@ TEST(DramStore, RecycleRequiresEmpty)
     EXPECT_NO_THROW(d.recycle(0));
 }
 
+TEST(DramStore, ReadAtWindowFrontWithHolesBehind)
+{
+    // The DSA launched the reads of blocks 2 and 3 ahead of block 0:
+    // the window keeps 0, 1 and 4 around the holes.
+    DramStore d(1, 2, 1, 0);
+    for (std::uint64_t ord = 0; ord < 5; ++ord)
+        d.writeBlock(0, ord, block(0, 2 * ord, 2), 0);
+    d.readBlock(0, 2, 0);
+    d.readBlock(0, 3, 0);
+    EXPECT_FALSE(d.hasBlock(0, 2));
+    EXPECT_FALSE(d.hasBlock(0, 3));
+    EXPECT_EQ(d.readBlock(0, 0, 0)[0].seq, 0u);
+    EXPECT_FALSE(d.hasBlock(0, 0));
+    EXPECT_TRUE(d.hasBlock(0, 1));
+    EXPECT_TRUE(d.hasBlock(0, 4));
+    EXPECT_EQ(d.residentBlocks(0), 2u);
+    EXPECT_EQ(d.readBlock(0, 1, 0)[1].seq, 3u);
+    EXPECT_EQ(d.readBlock(0, 4, 0)[0].seq, 8u);
+    EXPECT_EQ(d.residentBlocks(0), 0u);
+    EXPECT_EQ(d.totalCells(), 0u);
+}
+
+TEST(DramStore, WriteBelowWindowBase)
+{
+    // A bypass squash rewinds the write ordinal, so a block may be
+    // written below every resident ordinal of its queue.
+    DramStore d(1, 2, 1, 0);
+    d.writeBlock(0, 6, block(0, 12, 2), 0);
+    d.writeBlock(0, 7, block(0, 14, 2), 0);
+    d.readBlock(0, 6, 0);
+    d.writeBlock(0, 3, block(0, 6, 2), 0);
+    d.writeBlock(0, 5, block(0, 10, 2), 0);
+    EXPECT_TRUE(d.hasBlock(0, 3));
+    EXPECT_FALSE(d.hasBlock(0, 4));
+    EXPECT_TRUE(d.hasBlock(0, 5));
+    EXPECT_FALSE(d.hasBlock(0, 6));
+    EXPECT_EQ(d.residentBlocks(0), 3u);
+    EXPECT_THROW(d.writeBlock(0, 3, block(0, 6, 2), 0), PanicError);
+    EXPECT_EQ(d.readBlock(0, 3, 0)[0].seq, 6u);
+    EXPECT_EQ(d.readBlock(0, 7, 0)[0].seq, 14u);
+    EXPECT_EQ(d.readBlock(0, 5, 0)[0].seq, 10u);
+    EXPECT_NO_THROW(d.recycle(0));
+}
+
+TEST(DramStore, HasBlockOutsideWindow)
+{
+    DramStore d(2, 2, 1, 0);
+    EXPECT_FALSE(d.hasBlock(0, 0));
+    EXPECT_FALSE(d.hasBlock(0, UINT64_MAX));
+    d.writeBlock(0, 10, block(0, 0, 2), 0);
+    d.writeBlock(0, 12, block(0, 2, 2), 0);
+    EXPECT_FALSE(d.hasBlock(0, 9));   // below the window
+    EXPECT_FALSE(d.hasBlock(0, 0));
+    EXPECT_FALSE(d.hasBlock(0, 11));  // a hole inside it
+    EXPECT_FALSE(d.hasBlock(0, 13));  // above it
+    EXPECT_FALSE(d.hasBlock(0, UINT64_MAX));
+    EXPECT_FALSE(d.hasBlock(1, 10));  // another queue's window
+    EXPECT_THROW(d.readBlock(0, 11, 0), PanicError);
+    EXPECT_THROW(d.readBlock(0, 13, 0), PanicError);
+}
+
+TEST(DramStore, SaveLoadSaveByteIdenticalWithHoles)
+{
+    DramStore d(3, 2, 2, 0);
+    for (std::uint64_t ord = 0; ord < 6; ++ord)
+        d.writeBlock(1, ord, block(1, 2 * ord, 2), 1);
+    d.readBlock(1, 1, 1);
+    d.readBlock(1, 4, 1);
+    d.writeBlock(2, 9, block(2, 0, 2), 0);
+    ser::Writer w1;
+    d.save(w1);
+
+    DramStore e(3, 2, 2, 0);
+    e.writeBlock(0, 0, block(0, 0, 2), 0);  // replaced by the load
+    ser::Reader r(w1.bytes());
+    e.load(r);
+    r.done();
+    ser::Writer w2;
+    e.save(w2);
+    EXPECT_EQ(w1.bytes(), w2.bytes());
+    EXPECT_FALSE(e.hasBlock(0, 0));
+    EXPECT_FALSE(e.hasBlock(1, 1));
+    EXPECT_FALSE(e.hasBlock(1, 4));
+    EXPECT_EQ(e.residentBlocks(1), 4u);
+    EXPECT_EQ(e.readBlock(1, 5, 1)[1].seq, 11u);
+    EXPECT_EQ(e.readBlock(2, 9, 0)[0].queue, 2u);
+}
+
+namespace
+{
+
+/** A DRAM checkpoint of one group and one queue, cut after the
+ *  queue's block count. */
+ser::Writer
+dramPrefix(std::uint64_t blocks)
+{
+    ser::Writer w;
+    w.tag("DRAM");
+    w.u64(1);  // groups
+    w.u64(0);  // group 0 cells
+    w.u64(1);  // queues
+    w.u64(blocks);
+    return w;
+}
+
+void
+appendCells(ser::Writer &w, unsigned n)
+{
+    for (unsigned i = 0; i < n; ++i)
+        Cell{0, i, 0}.save(w);
+}
+
+void
+expectDramLoadFatal(const ser::Writer &w)
+{
+    DramStore d(1, 2, 1, 0);
+    ser::Reader r(w.bytes());
+    EXPECT_THROW(d.load(r), FatalError);
+}
+
+} // namespace
+
+TEST(DramStore, LoadRejectsHugeCounts)
+{
+    // 2^60 blocks: refused from the bytes left, before allocating.
+    expectDramLoadFatal(dramPrefix(std::uint64_t{1} << 60));
+
+    // One block claiming 2^60 cells, with plenty of bytes behind it.
+    auto w = dramPrefix(1);
+    w.u64(0);
+    w.u64(std::uint64_t{1} << 60);
+    appendCells(w, 64);
+    expectDramLoadFatal(w);
+}
+
+TEST(DramStore, LoadRejectsMalformedBlocks)
+{
+    // A block must hold exactly b cells.
+    auto w = dramPrefix(1);
+    w.u64(0);
+    w.u64(1);
+    appendCells(w, 2);
+    expectDramLoadFatal(w);
+
+    // Ordinals must strictly ascend: a repeat ...
+    w = dramPrefix(2);
+    for (int i = 0; i < 2; ++i) {
+        w.u64(5);
+        w.u64(2);
+        appendCells(w, 2);
+    }
+    expectDramLoadFatal(w);
+
+    // ... or a step backwards is corrupt.
+    w = dramPrefix(2);
+    for (const std::uint64_t ord : {6, 5}) {
+        w.u64(ord);
+        w.u64(2);
+        appendCells(w, 2);
+    }
+    expectDramLoadFatal(w);
+
+    // A gap of 2^60 ordinals would size the window from junk.
+    w = dramPrefix(2);
+    const std::uint64_t far = std::uint64_t{1} << 60;
+    for (const std::uint64_t ord : {std::uint64_t{0}, far}) {
+        w.u64(ord);
+        w.u64(2);
+        appendCells(w, 2);
+    }
+    expectDramLoadFatal(w);
+}
+
 // ----------------------------------------------------- DramTiming
 
 TEST(DramTiming, UniformDefaultMatchesLegacyScalar)

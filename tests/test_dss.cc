@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -43,6 +46,22 @@ makeWrite(QueueId q, std::uint64_t ord, unsigned bank, Slot issued = 0)
     return r;
 }
 
+/** RR probe blocking (as bank-busy) exactly the banks `locked`
+ *  names. */
+template <typename LockedFn>
+auto
+busyBanks(LockedFn locked)
+{
+    return [locked](const DramRequest &r)
+               -> std::optional<dram::StallCause> {
+        if (locked(r.bank))
+            return dram::StallCause::BankBusy;
+        return std::nullopt;
+    };
+}
+
+const auto kNoneBusy = busyBanks([](unsigned) { return false; });
+
 } // namespace
 
 TEST(RequestRegister, OldestReadyFirst)
@@ -51,7 +70,7 @@ TEST(RequestRegister, OldestReadyFirst)
     rr.push(makeRead(0, 0, 5));
     rr.push(makeRead(1, 0, 6));
     rr.push(makeRead(2, 0, 7));
-    auto sel = rr.selectOldestReady([](unsigned) { return false; });
+    auto sel = rr.selectOldestReady(kNoneBusy);
     ASSERT_TRUE(sel);
     EXPECT_EQ(sel->physQueue, 0u);
     EXPECT_EQ(rr.size(), 2u);
@@ -63,12 +82,12 @@ TEST(RequestRegister, SkipsLockedBanksAndCountsSkips)
     rr.push(makeRead(0, 0, 5));
     rr.push(makeRead(1, 0, 6));
     auto sel = rr.selectOldestReady(
-        [](unsigned bank) { return bank == 5; });
+        busyBanks([](unsigned bank) { return bank == 5; }));
     ASSERT_TRUE(sel);
     EXPECT_EQ(sel->physQueue, 1u);
     EXPECT_EQ(rr.maxSkips(), 1);
     // The skipped entry keeps its age: next call picks it.
-    sel = rr.selectOldestReady([](unsigned) { return false; });
+    sel = rr.selectOldestReady(kNoneBusy);
     ASSERT_TRUE(sel);
     EXPECT_EQ(sel->physQueue, 0u);
 }
@@ -78,7 +97,8 @@ TEST(RequestRegister, AllLockedReturnsNothing)
     RequestRegister rr(4);
     rr.push(makeRead(0, 0, 1));
     rr.push(makeRead(1, 0, 2));
-    EXPECT_FALSE(rr.selectOldestReady([](unsigned) { return true; }));
+    EXPECT_FALSE(rr.selectOldestReady(
+        busyBanks([](unsigned) { return true; })));
     EXPECT_EQ(rr.size(), 2u);
 }
 
@@ -106,7 +126,7 @@ TEST(RequestRegister, PerQueueOrderEnforcedForWrites)
     rr.push(makeWrite(3, 1, 2)); // same queue, free bank
     rr.push(makeWrite(4, 0, 3)); // other queue, free bank
     auto sel = rr.selectOldestReady(
-        [](unsigned bank) { return bank == 1; });
+        busyBanks([](unsigned bank) { return bank == 1; }));
     // Queue 3's younger write must NOT overtake its older one, but
     // queue 4 may proceed.
     ASSERT_TRUE(sel);
@@ -347,4 +367,90 @@ TEST(DramScheduler, RandomizedConflictFreedomAgainstOracle)
         }
     }
     EXPECT_GT(sched.launches(), 1000u);
+}
+
+TEST(OngoingRequests, FastBankExpiresBehindSlowOne)
+{
+    // Banks 0-1 take 11 slots, banks 2-3 take 3.
+    dram::TimingConfig cfg;
+    cfg.groupTRc = {11, 3};
+    OngoingRequests orr(makeTiming(cfg, 4, 2, 8));
+    orr.add(0, 0);
+    orr.add(2, 1);
+    EXPECT_EQ(orr.size(3), 2u);
+    EXPECT_EQ(orr.size(4), 1u);  // bank 2 expired behind bank 0
+    EXPECT_FALSE(orr.locked(2, 4));
+    EXPECT_TRUE(orr.locked(0, 4));
+    EXPECT_NO_THROW(orr.add(2, 4));
+    EXPECT_THROW(orr.add(0, 10), PanicError);
+    EXPECT_NO_THROW(orr.add(0, 11));
+    EXPECT_EQ(orr.size(11), 1u);  // bank 2 (locked at 4) expired at 7
+    EXPECT_EQ(orr.highWater(), 2);
+}
+
+TEST(OngoingRequests, RandomizedPerGroupTrcMatchesBruteForce)
+{
+    // Launches to random free banks at random (sometimes repeated)
+    // slots; after every call the lock table must agree with a scan
+    // of the live (bank, until) pairs, and its checkpoint must round
+    // trip to a table that keeps agreeing.
+    const unsigned banks = 8, bpg = 2;
+    dram::TimingConfig cfg;
+    cfg.groupTRc = {13, 2, 7, 4};
+    const auto timing = makeTiming(cfg, banks, bpg, 8);
+    OngoingRequests orr(timing);
+    std::vector<std::pair<unsigned, Slot>> live;
+    std::size_t high_water = 0;
+    Rng rng(2024);
+
+    const auto busy = [&](unsigned bank, Slot now) {
+        for (const auto &[b, until] : live)
+            if (b == bank && until > now)
+                return true;
+        return false;
+    };
+    const auto live_at = [&](Slot now) {
+        std::size_t n = 0;
+        for (const auto &e : live)
+            n += e.second > now;
+        return n;
+    };
+
+    Slot now = 0;
+    for (int step = 0; step < 5000; ++step) {
+        now += rng.below(3);  // 0: several calls within one slot
+        for (unsigned bank = 0; bank < banks; ++bank) {
+            const auto cause =
+                orr.blockedCause(bank, dram::AccessKind::Read, now);
+            ASSERT_EQ(cause.has_value(), busy(bank, now))
+                << "bank " << bank << " at slot " << now;
+            if (cause) {
+                EXPECT_EQ(*cause, dram::StallCause::BankBusy);
+            }
+        }
+        ASSERT_EQ(orr.size(now), live_at(now)) << "slot " << now;
+        const auto bank = static_cast<unsigned>(rng.below(banks));
+        if (!busy(bank, now) && rng.chance(0.6)) {
+            orr.add(bank, now,
+                    rng.chance(0.5) ? dram::AccessKind::Read
+                                    : dram::AccessKind::Write);
+            live.emplace_back(bank, now + timing->accessSlots(bank));
+            high_water = std::max(high_water, live_at(now));
+        } else if (busy(bank, now)) {
+            EXPECT_THROW(orr.add(bank, now), PanicError);
+        }
+        if (step % 500 == 499) {
+            ser::Writer w;
+            orr.save(w);
+            OngoingRequests restored(timing);
+            ser::Reader r(w.bytes());
+            restored.load(r);
+            ser::Writer again;
+            restored.save(again);
+            ASSERT_EQ(w.bytes(), again.bytes());
+            orr = std::move(restored);
+        }
+    }
+    EXPECT_EQ(orr.highWater(), static_cast<std::int64_t>(high_water));
+    EXPECT_GE(high_water, 3u);
 }

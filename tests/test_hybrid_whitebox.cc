@@ -316,3 +316,57 @@ TEST(Whitebox, MdqfSramLargerThanEcqf)
     HybridBuffer ecqf(e), mdqf(m);
     EXPECT_GT(mdqf.headSram().capacity(), ecqf.headSram().capacity());
 }
+
+TEST(Whitebox, LoadRejectsHugeInFlightReads)
+{
+    // The in-flight reads are the last section before the statistics
+    // registry ("STRG"): splice hand-built counts in at that point.
+    HybridBuffer fresh(config(2, 4, 2, 4));
+    ser::Writer saved;
+    fresh.save(saved);
+    const std::string &bytes = saved.bytes();
+    const auto stats_at = bytes.find("STRG");
+    ASSERT_NE(stats_at, std::string::npos);
+    const std::size_t count_at = stats_at - 8;
+    ASSERT_EQ(bytes.substr(count_at, 8), std::string(8, '\0'));
+
+    const auto expect_fatal = [&](const ser::Writer &reads) {
+        const std::string spliced = bytes.substr(0, count_at) +
+                                    reads.bytes() +
+                                    bytes.substr(stats_at);
+        HybridBuffer buf(config(2, 4, 2, 4));
+        ser::Reader r(spliced);
+        EXPECT_THROW(buf.load(r), FatalError);
+    };
+    const std::uint64_t huge = std::uint64_t{1} << 60;
+
+    ser::Writer many;
+    many.u64(huge);
+    expect_fatal(many);
+
+    const auto one_read = [](std::uint64_t cells, QueueId q) {
+        ser::Writer w;
+        w.u64(1);
+        w.u64(10);  // completes at
+        w.u32(q);
+        w.u64(0);   // replenish seq
+        w.u64(cells);
+        for (unsigned i = 0; i < 4; ++i)
+            Cell{q, i, 0}.save(w);
+        return w;
+    };
+    expect_fatal(one_read(huge, 0));
+    expect_fatal(one_read(1, 0));  // a DRAM read is b = 2 cells
+    expect_fatal(one_read(2, 7));  // queue out of range
+
+    // The splice itself is sound: a well-formed read loads.
+    HybridBuffer buf(config(2, 4, 2, 4));
+    const auto good = one_read(2, 1);
+    const std::string spliced = bytes.substr(0, count_at) +
+                                good.bytes().substr(0, good.bytes().size() -
+                                                    2 * Cell::kSavedBytes) +
+                                bytes.substr(stats_at);
+    ser::Reader r(spliced);
+    EXPECT_NO_THROW(buf.load(r));
+    r.done();
+}

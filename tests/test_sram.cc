@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "sram/head_sram.hh"
 #include "sram/tail_sram.hh"
@@ -30,7 +32,7 @@ block(QueueId q, SeqNum first, unsigned n)
 
 TEST(HeadSram, InOrderRoundTrip)
 {
-    HeadSram h(2, 0);
+    HeadSram h(2, 4, 0);
     h.insertBlock(0, 0, block(0, 0, 2));
     h.insertBlock(0, 1, block(0, 2, 2));
     for (SeqNum s = 0; s < 4; ++s)
@@ -40,7 +42,7 @@ TEST(HeadSram, InOrderRoundTrip)
 
 TEST(HeadSram, OutOfOrderRefillConsumedInOrder)
 {
-    HeadSram h(2, 0);
+    HeadSram h(2, 4, 0);
     // Replenish seq 1 completes before seq 0 (DSA reordering).
     h.insertBlock(0, 1, block(0, 2, 2));
     EXPECT_TRUE(h.wouldMiss(0));
@@ -52,7 +54,7 @@ TEST(HeadSram, OutOfOrderRefillConsumedInOrder)
 
 TEST(HeadSram, MissPanics)
 {
-    HeadSram h(2, 0);
+    HeadSram h(2, 4, 0);
     EXPECT_THROW(h.pop(0), PanicError);
     h.insertBlock(0, 1, block(0, 2, 2)); // gap at seq 0
     EXPECT_THROW(h.pop(0), PanicError);
@@ -60,14 +62,14 @@ TEST(HeadSram, MissPanics)
 
 TEST(HeadSram, OverflowPanics)
 {
-    HeadSram h(1, 3);
+    HeadSram h(1, 4, 3);
     h.insertBlock(0, 0, block(0, 0, 2));
     EXPECT_THROW(h.insertBlock(0, 1, block(0, 2, 2)), PanicError);
 }
 
 TEST(HeadSram, DuplicateAndStaleSeqPanic)
 {
-    HeadSram h(1, 0);
+    HeadSram h(1, 4, 0);
     h.insertBlock(0, 0, block(0, 0, 2));
     EXPECT_THROW(h.insertBlock(0, 0, block(0, 2, 2)), PanicError);
     h.pop(0);
@@ -77,7 +79,7 @@ TEST(HeadSram, DuplicateAndStaleSeqPanic)
 
 TEST(HeadSram, PerQueueIsolationAndHighWater)
 {
-    HeadSram h(3, 0);
+    HeadSram h(3, 4, 0);
     h.insertBlock(0, 0, block(0, 0, 2));
     h.insertBlock(2, 0, block(2, 0, 4));
     EXPECT_EQ(h.cellsOf(0), 2u);
@@ -92,7 +94,7 @@ TEST(HeadSram, PerQueueIsolationAndHighWater)
 
 TEST(HeadSram, RecycleResetsSequenceSpace)
 {
-    HeadSram h(1, 0);
+    HeadSram h(1, 4, 0);
     h.insertBlock(0, 0, block(0, 0, 1));
     h.pop(0);
     h.recycle(0);
@@ -103,9 +105,135 @@ TEST(HeadSram, RecycleResetsSequenceSpace)
 
 TEST(HeadSram, RecycleNonEmptyPanics)
 {
-    HeadSram h(1, 0);
+    HeadSram h(1, 4, 0);
     h.insertBlock(0, 0, block(0, 0, 1));
     EXPECT_THROW(h.recycle(0), PanicError);
+}
+
+TEST(HeadSram, OutOfOrderRefillGapFilledLater)
+{
+    // Refills 2 and 3 complete before refill 1: the window holds a
+    // gap at seq 1 until its block arrives.
+    HeadSram h(1, 4, 0);
+    h.insertBlock(0, 0, block(0, 0, 2));
+    h.insertBlock(0, 2, block(0, 4, 2));
+    h.insertBlock(0, 3, block(0, 6, 1));
+    EXPECT_EQ(h.pop(0).seq, 0u);
+    EXPECT_EQ(h.pop(0).seq, 1u);
+    EXPECT_TRUE(h.wouldMiss(0));
+    EXPECT_THROW(h.pop(0), PanicError);
+    EXPECT_EQ(h.cellsOf(0), 3u);
+    EXPECT_THROW(h.insertBlock(0, 0, block(0, 0, 2)), PanicError);
+    EXPECT_THROW(h.insertBlock(0, 2, block(0, 4, 2)), PanicError);
+    h.insertBlock(0, 1, block(0, 2, 2));
+    EXPECT_FALSE(h.wouldMiss(0));
+    for (SeqNum s = 2; s < 7; ++s)
+        EXPECT_EQ(h.pop(0).seq, s);
+    EXPECT_EQ(h.occupancy(), 0u);
+    EXPECT_TRUE(h.wouldMiss(0));
+}
+
+TEST(HeadSram, BlockLargerThanGranularityPanics)
+{
+    HeadSram h(1, 2, 0);
+    EXPECT_THROW(h.insertBlock(0, 0, block(0, 0, 3)), PanicError);
+}
+
+TEST(HeadSram, SaveLoadSaveByteIdenticalWithGap)
+{
+    HeadSram h(2, 4, 0);
+    h.insertBlock(0, 0, block(0, 0, 4));
+    h.insertBlock(0, 2, block(0, 8, 4));
+    h.insertBlock(1, 3, block(1, 12, 2));  // seqs 0..2 in flight
+    h.pop(0);                              // block 0 part consumed
+    ser::Writer w1;
+    h.save(w1);
+
+    HeadSram g(2, 4, 0);
+    g.insertBlock(1, 0, block(1, 0, 1));  // replaced by the load
+    ser::Reader r(w1.bytes());
+    g.load(r);
+    r.done();
+    ser::Writer w2;
+    g.save(w2);
+    EXPECT_EQ(w1.bytes(), w2.bytes());
+    EXPECT_EQ(g.cellsOf(0), 7u);
+    EXPECT_EQ(g.cellsOf(1), 2u);
+    EXPECT_TRUE(g.wouldMiss(1));
+    for (SeqNum s = 1; s < 4; ++s)
+        EXPECT_EQ(g.pop(0).seq, s);
+    EXPECT_TRUE(g.wouldMiss(0));
+}
+
+namespace
+{
+
+/** An h-SRAM checkpoint of one queue, cut after its block count. */
+ser::Writer
+headPrefix(std::uint64_t next_consume_seq, std::uint64_t blocks)
+{
+    ser::Writer w;
+    w.tag("HSRM");
+    w.u64(1);  // queues
+    w.u64(next_consume_seq);
+    w.u64(blocks);
+    return w;
+}
+
+void
+appendBlock(ser::Writer &w, std::uint64_t seq, std::uint64_t consumed,
+            std::uint64_t cells)
+{
+    w.u64(seq);
+    w.u64(consumed);
+    w.u64(cells);
+    // The cells themselves; at least one, so a refused count is
+    // refused for its shape and not for running out of bytes.
+    const auto n = std::clamp<std::uint64_t>(cells, 1, 8);
+    for (unsigned i = 0; i < n; ++i)
+        Cell{0, i, 0}.save(w);
+}
+
+void
+expectHeadLoadFatal(const ser::Writer &w)
+{
+    HeadSram h(1, 4, 0);
+    ser::Reader r(w.bytes());
+    EXPECT_THROW(h.load(r), FatalError);
+}
+
+} // namespace
+
+TEST(HeadSram, LoadRejectsHugeCounts)
+{
+    expectHeadLoadFatal(headPrefix(0, std::uint64_t{1} << 60));
+    auto w = headPrefix(0, 1);
+    appendBlock(w, 0, 0, std::uint64_t{1} << 60);
+    expectHeadLoadFatal(w);
+}
+
+TEST(HeadSram, LoadRejectsMalformedBlocks)
+{
+    auto w = headPrefix(0, 1);
+    appendBlock(w, 0, 0, 0);  // empty block
+    expectHeadLoadFatal(w);
+    w = headPrefix(0, 1);
+    appendBlock(w, 0, 0, 5);  // more than b cells
+    expectHeadLoadFatal(w);
+    w = headPrefix(0, 1);
+    appendBlock(w, 0, 2, 2);  // consumed == size
+    expectHeadLoadFatal(w);
+    w = headPrefix(3, 1);
+    appendBlock(w, 2, 0, 2);  // already consumed seq
+    expectHeadLoadFatal(w);
+    w = headPrefix(0, 2);
+    appendBlock(w, 1, 0, 2);  // repeated seq
+    appendBlock(w, 1, 0, 2);
+    expectHeadLoadFatal(w);
+    w = headPrefix(0, 2);
+    appendBlock(w, 0, 0, 2);  // gap of 2^60 seqs
+    appendBlock(w, std::uint64_t{1} << 60, 0, 2);
+    expectHeadLoadFatal(w);
 }
 
 TEST(TailSram, PushClaimExtractOrder)
