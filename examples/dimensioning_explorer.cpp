@@ -15,15 +15,21 @@
  *
  *   $ ./dimensioning_explorer --sweep [oc...] [--jobs N] [--json P]
  *                             [--csv P]
+ *
+ * A malformed number (negative, non-numeric, out of range) or a
+ * design point the model rejects prints a message and exits 2.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/system_config.hh"
+#include "fabric_cli.hh"
 #include "model/sram_designs.hh"
 #include "sweep/emit.hh"
 #include "sweep/sweep.hh"
@@ -144,11 +150,37 @@ parseRate(const char *arg, LineRate &rate)
     return true;
 }
 
-} // namespace
+void
+usage(const char *prog)
+{
+    std::fprintf(stderr,
+                 "usage: %s [oc192|oc768|oc3072] [queues] [b] [M]\n"
+                 "       %s --sweep [oc192|oc768|oc3072] [--jobs N]"
+                 " [--json PATH] [--csv PATH]\n",
+                 prog, prog);
+}
+
+[[noreturn]] void
+fail(const char *prog)
+{
+    usage(prog);
+    std::exit(2);
+}
+
+/** `tok` as an unsigned; usage and exit 2 when malformed. */
+unsigned
+unsignedArg(const char *prog, const char *tok, const char *what)
+{
+    unsigned v = 0;
+    if (!cli::parseNumber(tok, v))
+        cli::rejectValue(prog, tok, what, usage);
+    return v;
+}
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
+    const char *prog = argv[0];
     // --sweep mode: flag-style arguments.
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--sweep"))
@@ -160,8 +192,7 @@ main(int argc, char **argv)
             if (j == i)
                 continue;
             if (!std::strcmp(argv[j], "--jobs") && j + 1 < argc) {
-                jobs = static_cast<unsigned>(
-                    std::strtoul(argv[++j], nullptr, 0));
+                jobs = unsignedArg(prog, argv[++j], "--jobs");
             } else if (!std::strcmp(argv[j], "--json") &&
                        j + 1 < argc) {
                 json_path = argv[++j];
@@ -169,38 +200,27 @@ main(int argc, char **argv)
                        j + 1 < argc) {
                 csv_path = argv[++j];
             } else if (!parseRate(argv[j], rate)) {
-                std::cerr << "usage: " << argv[0]
-                          << " --sweep [oc192|oc768|oc3072]"
-                             " [--jobs N] [--json PATH]"
-                             " [--csv PATH]\n";
-                return 1;
+                fail(prog);
             }
         }
         return runSweepMode(rate, jobs, json_path, csv_path);
     }
 
-    // Single-point mode: positional arguments, unchanged.
+    // Single-point mode: positional arguments.
     SystemConfig sys;
     sys.rate = LineRate::OC3072;
     sys.queues = 512;
     sys.gran = 4;
     sys.banks = 256;
 
-    if (argc > 1) {
-        if (!parseRate(argv[1], sys.rate)) {
-            std::cerr << "usage: " << argv[0]
-                      << " [oc192|oc768|oc3072] [queues] [b] [M]\n"
-                      << "       " << argv[0]
-                      << " --sweep [oc...] [--jobs N] [--json PATH]\n";
-            return 1;
-        }
-    }
+    if (argc > 5 || (argc > 1 && !parseRate(argv[1], sys.rate)))
+        fail(prog);
     if (argc > 2)
-        sys.queues = static_cast<unsigned>(std::atoi(argv[2]));
+        sys.queues = unsignedArg(prog, argv[2], "queues");
     if (argc > 3)
-        sys.gran = static_cast<unsigned>(std::atoi(argv[3]));
+        sys.gran = unsignedArg(prog, argv[3], "b");
     if (argc > 4)
-        sys.banks = static_cast<unsigned>(std::atoi(argv[4]));
+        sys.banks = unsignedArg(prog, argv[4], "M");
 
     std::cout << "Design point: " << toString(sys.rate) << ", Q="
               << sys.queues << ", b=" << sys.gran << ", M="
@@ -219,4 +239,19 @@ main(int argc, char **argv)
     std::cout << "\nmax queues meeting the slot time: CFDS " << qmax
               << " vs RADS " << qmax_rads << "\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A design point the model rejects (b not dividing B, zero
+    // queues) is a user error, not a crash.
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return 2;
+    }
 }

@@ -8,7 +8,8 @@
  *
  * Every malformed value -- empty, signed where the field is unsigned,
  * trailing characters, out of range for the field -- prints the
- * offending flag and the usage text and exits 2.
+ * offending flag and the usage text and exits 2.  The number parser
+ * itself, parseNumber(), also serves the dimensioning explorer.
  */
 
 #ifndef PKTBUF_EXAMPLES_FABRIC_CLI_HH
@@ -33,6 +34,52 @@ namespace pktbuf::cli
 
 /** Slot budget of a --smoke run that sets no --slots. */
 inline constexpr std::uint64_t kSmokeSlots = 4000;
+
+/**
+ * Parse the whole of `tok` as a T.  An unsigned T takes digits only
+ * (decimal, 0x hex or 0 octal, as strtoull base 0 reads them) and
+ * must fit in T; a floating-point T must be finite.
+ * @return false, leaving `out` alone, when `tok` is malformed
+ */
+template <typename T>
+bool
+parseNumber(const char *tok, T &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+        const double v = std::strtod(tok, &end);
+        const auto first = static_cast<unsigned char>(*tok);
+        if (first == '\0' || std::isspace(first) || *end != '\0' ||
+            errno == ERANGE || !std::isfinite(v))
+            return false;
+        out = static_cast<T>(v);
+    } else {
+        static_assert(std::is_unsigned_v<T>);
+        // strtoull skips blanks and negates a '-': a value may do
+        // neither.
+        if (!std::isdigit(static_cast<unsigned char>(*tok)))
+            return false;
+        const unsigned long long v = std::strtoull(tok, &end, 0);
+        if (*end != '\0' || errno == ERANGE ||
+            v > std::numeric_limits<T>::max())
+            return false;
+        out = static_cast<T>(v);
+    }
+    return true;
+}
+
+/** Print "<prog>: invalid value '<tok>' for <what>", the usage text,
+ *  and exit 2. */
+[[noreturn]] inline void
+rejectValue(const char *prog, const char *tok, const char *what,
+            void (*usage)(const char *))
+{
+    std::fprintf(stderr, "%s: invalid value '%s' for %s\n", prog, tok,
+                 what);
+    usage(prog);
+    std::exit(2);
+}
 
 /** A cursor over argv; a malformed flag ends in usage and exit 2. */
 class Args
@@ -61,39 +108,17 @@ class Args
         return argv_[++i_];
     }
 
-    /**
-     * The current flag's value as a T.  An unsigned T takes digits
-     * only (decimal, 0x hex or 0 octal, as strtoull base 0 reads
-     * them) and must fit in T; a floating-point T must be finite.
-     * Either way the whole token must parse.
-     */
+    /** The current flag's value as a T (see parseNumber()). */
     template <typename T>
     T
     number()
     {
         const char *flag = argv_[i_];
         const char *tok = value();
-        char *end = nullptr;
-        errno = 0;
-        if constexpr (std::is_floating_point_v<T>) {
-            const double v = std::strtod(tok, &end);
-            const auto first = static_cast<unsigned char>(*tok);
-            if (first == '\0' || std::isspace(first) || *end != '\0' ||
-                errno == ERANGE || !std::isfinite(v))
-                reject(flag, tok);
-            return static_cast<T>(v);
-        } else {
-            static_assert(std::is_unsigned_v<T>);
-            // strtoull skips blanks and negates a '-': a value may
-            // do neither.
-            if (!std::isdigit(static_cast<unsigned char>(*tok)))
-                reject(flag, tok);
-            const unsigned long long v = std::strtoull(tok, &end, 0);
-            if (*end != '\0' || errno == ERANGE ||
-                v > std::numeric_limits<T>::max())
-                reject(flag, tok);
-            return static_cast<T>(v);
-        }
+        T v{};
+        if (!parseNumber(tok, v))
+            rejectValue(argv_[0], tok, flag, usage_);
+        return v;
     }
 
     /** Print the usage text and exit 2. */
@@ -105,14 +130,6 @@ class Args
     }
 
   private:
-    [[noreturn]] void
-    reject(const char *flag, const char *tok) const
-    {
-        std::fprintf(stderr, "%s: invalid value '%s' for %s\n", argv_[0],
-                     tok, flag);
-        fail();
-    }
-
     int argc_;
     char **argv_;
     void (*usage_)(const char *);

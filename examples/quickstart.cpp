@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "buffer/hybrid_buffer.hh"
 #include "core/system_config.hh"
 #include "sim/runner.hh"
 #include "sim/workload.hh"
@@ -32,10 +33,11 @@ main()
 
     // 3. Build the buffer and drive it: one possible arrival and one
     //    arbiter request per time-slot.
-    auto buffer = core::makeBuffer(sys, core::BufferKind::Cfds);
+    buffer::HybridBuffer buffer(
+        core::makeBufferConfig(sys, core::BufferKind::Cfds));
     sim::UniformRandom traffic(sys.queues, /*seed=*/2026,
                                /*load=*/0.95);
-    sim::SimRunner runner(*buffer, traffic); // golden checker on
+    sim::SimRunner runner(buffer, traffic); // golden checker on
 
     const auto result = runner.run(200000);
 
@@ -45,7 +47,7 @@ main()
     std::cout << "mean delay " << result.meanDelaySlots
               << " slots, max " << result.maxDelaySlots << "\n";
 
-    const auto rep = buffer->report();
+    const auto rep = buffer.report();
     std::cout << "DRAM block reads " << rep.dramReads << ", writes "
               << rep.dramWrites << ", SRAM-to-SRAM bypass cells "
               << rep.bypasses << "\n";

@@ -45,20 +45,30 @@
 namespace pktbuf::buffer
 {
 
-/** `final` so a caller holding a concrete reference (the SimRunner
- *  hot loop) devirtualizes step()/wouldAdmit()/now() entirely. */
-class HybridBuffer final : public PacketBuffer
+class HybridBuffer
 {
   public:
     explicit HybridBuffer(const BufferConfig &cfg);
 
+    /**
+     * Advance one time-slot.  Zero misses are guaranteed: a grant
+     * the head SRAM cannot serve is a simulator panic, not a
+     * statistic.
+     *
+     * @param arrival  cell arriving from the line this slot (if any)
+     * @param request  logical queue the arbiter requests this slot
+     *                 (kInvalidQueue for none)
+     * @return the grant emerging from the pipeline this slot, if any
+     */
     std::optional<GrantInfo>
-    step(const std::optional<Cell> &arrival, QueueId request) override;
+    step(const std::optional<Cell> &arrival, QueueId request);
 
-    bool wouldAdmit(QueueId lq) const override;
-    Slot now() const override { return now_; }
-    BufferReport report() const override;
-    const BufferConfig &config() const override { return cfg_; }
+    /** Would an arriving cell for `lq` be admitted right now? */
+    bool wouldAdmit(QueueId lq) const;
+    /** Slots elapsed. */
+    Slot now() const { return now_; }
+    BufferReport report() const;
+    const BufferConfig &config() const { return cfg_; }
 
     /** Resolved lookahead depth (slots). */
     std::uint64_t lookaheadDepth() const { return look_.depth(); }
@@ -69,7 +79,7 @@ class HybridBuffer final : public PacketBuffer
     }
     /** End-to-end request-to-grant pipeline depth (slots). */
     std::uint64_t
-    pipelineDepth() const override
+    pipelineDepth() const
     {
         return lookaheadDepth() + latencyDepth();
     }

@@ -1,19 +1,15 @@
 /**
  * @file
- * Public interface of a VOQ packet buffer (Figure 2): one cell may
- * arrive and one arbiter request may be issued per time-slot; grants
- * emerge after the configured pipeline (lookahead, plus the latency
- * register for CFDS).  Implementations must *guarantee* zero misses:
- * a grant that cannot be served from the head SRAM is a simulator
- * panic, not a statistic.
+ * Value types of the VOQ packet buffer (Figure 2): its static
+ * configuration, the grant it emits and its aggregated report.  The
+ * buffer itself is buffer::HybridBuffer (buffer/hybrid_buffer.hh),
+ * which models RADS and CFDS alike.
  */
 
 #ifndef PKTBUF_BUFFER_PACKET_BUFFER_HH
 #define PKTBUF_BUFFER_PACKET_BUFFER_HH
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "common/types.hh"
 #include "dram/timing.hh"
@@ -133,36 +129,6 @@ struct BufferReport
     std::uint64_t renames = 0;
     std::uint64_t renameRecycles = 0;
     std::uint64_t dramResidentCells = 0;
-};
-
-class PacketBuffer
-{
-  public:
-    virtual ~PacketBuffer() = default;
-
-    /**
-     * Advance one time-slot.
-     *
-     * @param arrival  cell arriving from the line this slot (if any)
-     * @param request  logical queue the arbiter requests this slot
-     *                 (kInvalidQueue for none)
-     * @return the grant emerging from the pipeline this slot, if any
-     */
-    virtual std::optional<GrantInfo>
-    step(const std::optional<Cell> &arrival, QueueId request) = 0;
-
-    /** Would an arriving cell for `lq` be admitted right now? */
-    virtual bool wouldAdmit(QueueId lq) const = 0;
-
-    /** Slots elapsed. */
-    virtual Slot now() const = 0;
-
-    /** Request-to-grant pipeline depth (lookahead + latency). */
-    virtual std::uint64_t pipelineDepth() const = 0;
-
-    virtual BufferReport report() const = 0;
-
-    virtual const BufferConfig &config() const = 0;
 };
 
 } // namespace pktbuf::buffer

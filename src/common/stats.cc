@@ -1,193 +1,12 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 
 #include "logging.hh"
 
 namespace pktbuf
 {
-
-double
-Histogram::percentile(double frac) const
-{
-    if (sampler_.count() == 0)
-        return 0.0;
-    const auto target = static_cast<std::uint64_t>(frac * sampler_.count());
-    // Underflow samples sit below every bucket: if they alone cover
-    // the requested fraction, the percentile is below zero.
-    std::uint64_t seen = underflow_;
-    if (seen > target)
-        return 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        seen += counts_[i];
-        if (seen > target)
-            return (i + 1) * width_;
-    }
-    return counts_.size() * width_;
-}
-
-void
-Histogram::save(ser::Writer &w) const
-{
-    w.real(width_);
-    w.u64(counts_.size());
-    for (const auto c : counts_)
-        w.u64(c);
-    w.u64(underflow_);
-    sampler_.save(w);
-}
-
-void
-Histogram::load(ser::Reader &r)
-{
-    const double width = r.real();
-    fatal_if(width != width_, "checkpoint: histogram bucket width ",
-             width, " != configured ", width_);
-    const auto n = r.u64();
-    fatal_if(n != counts_.size(), "checkpoint: histogram has ", n,
-             " buckets, configured ", counts_.size());
-    for (auto &c : counts_)
-        c = r.u64();
-    underflow_ = r.u64();
-    sampler_.load(r);
-}
-
-void
-P2Quantile::init()
-{
-    for (int i = 0; i < 5; ++i)
-        q_[i] = n_[i] = np_[i] = dn_[i] = 0.0;
-}
-
-void
-P2Quantile::sample(double v)
-{
-    if (count_ < 5) {
-        // Exact phase: keep the first five samples sorted verbatim.
-        std::size_t i = count_;
-        while (i > 0 && q_[i - 1] > v) {
-            q_[i] = q_[i - 1];
-            --i;
-        }
-        q_[i] = v;
-        ++count_;
-        if (count_ == 5) {
-            const double p = prob_;
-            for (int k = 0; k < 5; ++k)
-                n_[k] = k;
-            np_[0] = 0.0;
-            np_[1] = 2.0 * p;
-            np_[2] = 4.0 * p;
-            np_[3] = 2.0 + 2.0 * p;
-            np_[4] = 4.0;
-            dn_[0] = 0.0;
-            dn_[1] = p / 2.0;
-            dn_[2] = p;
-            dn_[3] = (1.0 + p) / 2.0;
-            dn_[4] = 1.0;
-        }
-        return;
-    }
-
-    // Locate the cell the sample falls into, extending the extreme
-    // markers when it lies outside the current span.
-    int k;
-    if (v < q_[0]) {
-        q_[0] = v;
-        k = 0;
-    } else if (v >= q_[4]) {
-        q_[4] = v;
-        k = 3;
-    } else {
-        k = 0;
-        while (k < 3 && q_[k + 1] <= v)
-            ++k;
-    }
-    ++count_;
-
-    for (int i = k + 1; i < 5; ++i)
-        n_[i] += 1.0;
-    for (int i = 0; i < 5; ++i)
-        np_[i] += dn_[i];
-
-    // Nudge the three interior markers toward their desired
-    // positions: parabolic (P²) interpolation when it keeps the
-    // heights monotone, linear otherwise.
-    for (int i = 1; i <= 3; ++i) {
-        const double d = np_[i] - n_[i];
-        if ((d >= 1.0 && n_[i + 1] - n_[i] > 1.0) ||
-            (d <= -1.0 && n_[i - 1] - n_[i] < -1.0)) {
-            const double s = d >= 0 ? 1.0 : -1.0;
-            const double qp =
-                q_[i] +
-                s / (n_[i + 1] - n_[i - 1]) *
-                    ((n_[i] - n_[i - 1] + s) * (q_[i + 1] - q_[i]) /
-                         (n_[i + 1] - n_[i]) +
-                     (n_[i + 1] - n_[i] - s) * (q_[i] - q_[i - 1]) /
-                         (n_[i] - n_[i - 1]));
-            if (q_[i - 1] < qp && qp < q_[i + 1]) {
-                q_[i] = qp;
-            } else {
-                const int j = i + static_cast<int>(s);
-                q_[i] +=
-                    s * (q_[j] - q_[i]) / (n_[j] - n_[i]);
-            }
-            // Clamp per the P² paper: a marker height may never
-            // cross its neighbours, so the five heights stay
-            // non-decreasing by construction (both branches above
-            // already respect this; the clamp makes it an invariant
-            // rather than a proof obligation on the branches).
-            q_[i] = std::clamp(q_[i], q_[i - 1], q_[i + 1]);
-            n_[i] += s;
-        }
-    }
-}
-
-double
-P2Quantile::quantile() const
-{
-    if (count_ == 0)
-        return 0.0;
-    if (count_ <= 5) {
-        // Exact: linear interpolation at rank p * (n - 1) over the
-        // sorted sample prefix.
-        const double rank = prob_ * static_cast<double>(count_ - 1);
-        const auto lo = static_cast<std::size_t>(rank);
-        const double frac = rank - static_cast<double>(lo);
-        if (lo + 1 >= count_)
-            return q_[count_ - 1];
-        return q_[lo] + frac * (q_[lo + 1] - q_[lo]);
-    }
-    return q_[2];
-}
-
-void
-P2Quantile::save(ser::Writer &w) const
-{
-    w.real(prob_);
-    w.u64(count_);
-    for (int i = 0; i < 5; ++i) {
-        w.real(q_[i]);
-        w.real(n_[i]);
-        w.real(np_[i]);
-        w.real(dn_[i]);
-    }
-}
-
-void
-P2Quantile::load(ser::Reader &r)
-{
-    prob_ = r.real();
-    count_ = r.u64();
-    for (int i = 0; i < 5; ++i) {
-        q_[i] = r.real();
-        n_[i] = r.real();
-        np_[i] = r.real();
-        dn_[i] = r.real();
-    }
-}
 
 P2QuantileSet::P2QuantileSet(std::vector<double> probs)
     : probs_(std::move(probs))
@@ -262,9 +81,10 @@ P2QuantileSet::sample(double v)
     for (std::size_t i = 0; i < m; ++i)
         np_[i] += frac_[i];
 
-    // Nudge every interior marker toward its desired position, the
-    // same parabolic-else-linear rule as P2Quantile::sample() -- the
-    // shared sorted heights are what make quantile(p) monotone in p.
+    // Nudge every interior marker toward its desired position:
+    // parabolic (P²) interpolation when it keeps the heights
+    // monotone, linear otherwise.  The shared sorted heights are what
+    // make quantile(p) monotone in p.
     for (std::size_t i = 1; i + 1 < m; ++i) {
         const double d = np_[i] - n_[i];
         if ((d >= 1.0 && n_[i + 1] - n_[i] > 1.0) ||
@@ -283,6 +103,8 @@ P2QuantileSet::sample(double v)
                 const std::size_t j = s > 0 ? i + 1 : i - 1;
                 q_[i] += s * (q_[j] - q_[i]) / (n_[j] - n_[i]);
             }
+            // Clamp per the P² paper: a height never crosses its
+            // neighbours, so the markers stay sorted by construction.
             q_[i] = std::clamp(q_[i], q_[i - 1], q_[i + 1]);
             n_[i] += s;
         }
@@ -332,8 +154,11 @@ P2QuantileSet::load(ser::Reader &r)
     const auto k = r.u64();
     fatal_if(k != probs_.size(), "checkpoint: P2QuantileSet has ", k,
              " targets, configured ", probs_.size());
-    for (auto &p : probs_)
-        p = r.real();
+    for (const double configured : probs_) {
+        const double p = r.real();
+        fatal_if(p != configured, "checkpoint: P2QuantileSet target ",
+                 p, " != configured ", configured);
+    }
     count_ = r.u64();
     for (std::size_t i = 0; i < markers(); ++i) {
         q_[i] = r.real();
@@ -356,8 +181,6 @@ StatRegistry::dump(std::ostream &os) const
         os << std::setw(40) << (name + ".max") << s.max() << "\n";
         os << std::setw(40) << (name + ".count") << s.count() << "\n";
     }
-    for (const auto &[name, q] : quantiles_)
-        os << std::setw(40) << name << q.quantile() << "\n";
 }
 
 void
@@ -378,11 +201,6 @@ StatRegistry::save(ser::Writer &w) const
     for (const auto &[name, s] : samplers_) {
         w.str(name);
         s.save(w);
-    }
-    w.u64(quantiles_.size());
-    for (const auto &[name, q] : quantiles_) {
-        w.str(name);
-        q.save(w);
     }
 }
 
@@ -406,11 +224,6 @@ StatRegistry::load(ser::Reader &r)
     for (std::uint64_t i = 0; i < ns; ++i) {
         const auto name = r.str();
         samplers_[name].load(r);
-    }
-    const auto nq = r.u64();
-    for (std::uint64_t i = 0; i < nq; ++i) {
-        const auto name = r.str();
-        quantiles_.try_emplace(name).first->second.load(r);
     }
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Lightweight statistics primitives: scalar counters, min/max/mean
- * trackers, fixed-bucket histograms and a registry that pretty-prints
- * everything a component recorded.  Modeled loosely after gem5's Stats
- * package but deliberately tiny.
+ * trackers, high-water marks, a joint streaming quantile estimator
+ * and a registry that pretty-prints everything a component recorded.
+ * Modeled loosely after gem5's Stats package but deliberately tiny.
  */
 
 #ifndef PKTBUF_COMMON_STATS_HH
@@ -115,127 +115,24 @@ class HighWater
     std::int64_t max_ = 0;
 };
 
-/** Fixed-width linear histogram with underflow and overflow buckets. */
-class Histogram
-{
-  public:
-    Histogram(double bucket_width = 1.0, std::size_t buckets = 64)
-        : width_(bucket_width), counts_(buckets + 1, 0)
-    {}
-
-    void
-    sample(double v)
-    {
-        sampler_.sample(v);
-        // Negative samples land in a dedicated underflow bucket
-        // instead of being silently clamped into bucket 0: a
-        // latency-delta histogram must surface sign errors, not
-        // mask them.
-        if (v < 0) {
-            ++underflow_;
-            return;
-        }
-        std::size_t idx = static_cast<std::size_t>(v / width_);
-        if (idx >= counts_.size() - 1)
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-
-    const Sampler &summary() const { return sampler_; }
-    const std::vector<std::uint64_t> &buckets() const { return counts_; }
-    /** Samples below zero (would-be-clamped sign errors). */
-    std::uint64_t underflow() const { return underflow_; }
-    double bucketWidth() const { return width_; }
-
-    /** Value below which the given fraction of samples fall. */
-    double percentile(double frac) const;
-
-    void save(ser::Writer &w) const;
-    void load(ser::Reader &r);
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    Sampler sampler_;
-};
-
-/**
- * Streaming quantile estimator (Jain & Chlamtac's P-squared
- * algorithm): tracks one quantile of an unbounded sample stream in
- * O(1) memory -- five markers whose heights approximate the
- * quantile, refined by parabolic interpolation as samples arrive.
- *
- * Accuracy: *exact* for the first five samples (they are kept sorted
- * verbatim and interpolated at rank p*(n-1)); beyond that the
- * estimate converges to the true quantile with error that shrinks as
- * the sample count grows (empirically well under 1% of the sample
- * range for smooth distributions) -- and, unlike the fixed-width
- * Histogram, it is never clamped to a bucket edge, so tail quantiles
- * (p99 at 256+ ports) keep their resolution.  Deterministic: the
- * estimate is a pure function of the sample sequence.
- *
- * The five marker heights are kept non-decreasing by construction
- * (each adjusted height is clamped between its neighbours, per the
- * P² paper), so the estimate always lies within [min, max] of the
- * stream.  Note this guards *one* estimator's internal ordering
- * only: two independent instances tracking different probabilities
- * of the same stream may still cross (p99 < p50) because their
- * marker sets drift independently -- use P2QuantileSet when several
- * quantiles of one stream must be mutually consistent.
- */
-class P2Quantile
-{
-  public:
-    explicit P2Quantile(double prob = 0.5) : prob_(prob) { init(); }
-
-    void sample(double v);
-
-    /** Current quantile estimate (0 before any sample). */
-    double quantile() const;
-
-    std::uint64_t count() const { return count_; }
-    double prob() const { return prob_; }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        init();
-    }
-
-    void save(ser::Writer &w) const;
-    void load(ser::Reader &r);
-
-  private:
-    void init();
-
-    double prob_;
-    std::uint64_t count_ = 0;
-    // While count_ < 5: q_[0..count_) holds the sorted samples.
-    // After: the five P² markers (heights q_, positions n_, desired
-    // positions np_, increments dn_).
-    double q_[5] = {};
-    double n_[5] = {};
-    double np_[5] = {};
-    double dn_[5] = {};
-};
-
 /**
  * Joint streaming estimator for several quantiles of one stream: the
- * multi-quantile extension of the P² algorithm.  One shared,
- * always-sorted marker array of 2k+3 heights (a midpoint marker
- * before every target and one after the last) serves all k target
- * probabilities, so the estimates are mutually consistent by
- * construction: quantile(p) is non-decreasing in p, which two
- * independent P2Quantile instances cannot guarantee (their marker
- * sets drift independently and cross on adversarial streams --
- * observed at n == 7 on tri-valued inputs).
+ * multi-quantile extension of Jain & Chlamtac's P² algorithm, in
+ * O(k) memory for k targets.  One shared, always-sorted marker array
+ * of 2k+3 heights (a midpoint marker before every target and one
+ * after the last) serves all k target probabilities, so the
+ * estimates are mutually consistent by construction: quantile(p) is
+ * non-decreasing in p, which independent one-quantile P² estimators
+ * cannot guarantee (their marker sets drift independently and cross
+ * on adversarial streams -- observed at n == 7 on tri-valued
+ * inputs).
  *
  * Exact for the first 2k+3 samples (kept sorted verbatim and
- * interpolated at rank p*(n-1)); the marker approximation beyond,
- * with the same neighbour clamp as P2Quantile.  Deterministic: a
- * pure function of the sample sequence.
+ * interpolated at rank p*(n-1)).  Beyond that, markers move by
+ * parabolic interpolation, and each height is clamped between its
+ * neighbours per the P² paper, so every estimate lies within
+ * [min, max] of the stream; the error shrinks as the sample count
+ * grows.  Deterministic: a pure function of the sample sequence.
  */
 class P2QuantileSet
 {
@@ -256,12 +153,14 @@ class P2QuantileSet
     std::uint64_t count() const { return count_; }
 
     void save(ser::Writer &w) const;
+    /** Restores a save() of an estimator with the same targets;
+     *  any other target set is a FatalError. */
     void load(ser::Reader &r);
 
   private:
     std::size_t markers() const { return frac_.size(); }
 
-    std::vector<double> probs_;
+    std::vector<double> probs_;  // ser: config
     /** Marker fractions 0, (0+p1)/2, p1, ..., (pk+1)/2, 1; also the
      *  per-sample desired-position increments (the paper's dn). */
     std::vector<double> frac_;  // ser: config
@@ -285,20 +184,6 @@ class StatRegistry
     Sampler &sampler(const std::string &name) { return samplers_[name]; }
     HighWater &highWater(const std::string &name) { return waters_[name]; }
 
-    /**
-     * Named streaming quantile (O(1) memory in the sample count).
-     * The probability is fixed at first registration; re-requesting
-     * an existing name returns the existing estimator.
-     */
-    P2Quantile &
-    quantile(const std::string &name, double prob)
-    {
-        auto it = quantiles_.find(name);
-        if (it == quantiles_.end())
-            it = quantiles_.emplace(name, P2Quantile(prob)).first;
-        return it->second;
-    }
-
     void dump(std::ostream &os) const;
 
     std::uint64_t
@@ -321,7 +206,6 @@ class StatRegistry
     std::map<std::string, Counter> counters_;
     std::map<std::string, Sampler> samplers_;
     std::map<std::string, HighWater> waters_;
-    std::map<std::string, P2Quantile> quantiles_;
 };
 
 } // namespace pktbuf

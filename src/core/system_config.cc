@@ -3,7 +3,6 @@
 #include <cmath>
 #include <iomanip>
 
-#include "buffer/hybrid_buffer.hh"
 #include "common/logging.hh"
 #include "model/issue_queue.hh"
 #include "model/sram_designs.hh"
@@ -72,13 +71,6 @@ makeBufferConfig(const SystemConfig &sys, BufferKind kind)
     cfg.dramCells = sys.dramCells;
     cfg.params.validate();
     return cfg;
-}
-
-std::unique_ptr<buffer::PacketBuffer>
-makeBuffer(const SystemConfig &sys, BufferKind kind)
-{
-    return std::make_unique<buffer::HybridBuffer>(
-        makeBufferConfig(sys, kind));
 }
 
 void

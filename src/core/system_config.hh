@@ -3,15 +3,14 @@
  * Top-level system description and factory: the public entry point
  * of the library.  A SystemConfig captures the link-level parameters
  * the paper's evaluation uses (line rate, queue count, DRAM timing,
- * bank count, CFDS granularity); fromSystem() derives a fully
- * dimensioned BufferConfig, and makeBuffer() instantiates the
- * simulator.
+ * bank count, CFDS granularity); makeBufferConfig() derives a fully
+ * dimensioned BufferConfig, from which buffer::HybridBuffer builds
+ * the simulator.
  */
 
 #ifndef PKTBUF_CORE_SYSTEM_CONFIG_HH
 #define PKTBUF_CORE_SYSTEM_CONFIG_HH
 
-#include <memory>
 #include <ostream>
 #include <string>
 
@@ -78,10 +77,6 @@ struct SystemConfig
 /** Derive a dimensioned BufferConfig from the system description. */
 buffer::BufferConfig makeBufferConfig(const SystemConfig &sys,
                                       BufferKind kind);
-
-/** Build a ready-to-run buffer. */
-std::unique_ptr<buffer::PacketBuffer>
-makeBuffer(const SystemConfig &sys, BufferKind kind);
 
 /** Human-readable dimensioning report (sizes, delays, feasibility). */
 void printDimensioningReport(std::ostream &os, const SystemConfig &sys,

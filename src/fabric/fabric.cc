@@ -51,8 +51,8 @@ aggregateStat(const std::vector<double> &per_leg)
     a.max = s.max();
     a.mean = s.mean();
     // One joint estimator for both targets: its shared sorted marker
-    // array keeps p99 >= p50 (two independent P2Quantile instances
-    // cross on adversarial inputs).
+    // array keeps p99 >= p50 (two independent one-quantile P²
+    // estimators cross on adversarial inputs).
     P2QuantileSet pq({0.50, 0.99});
     for (const double v : per_leg)
         pq.sample(v);

@@ -1,22 +1,17 @@
 #include "runner.hh"
 
-#include "buffer/hybrid_buffer.hh"
-
 namespace pktbuf::sim
 {
 
-SimRunner::SimRunner(buffer::PacketBuffer &buf, Workload &wl,
+SimRunner::SimRunner(buffer::HybridBuffer &buf, Workload &wl,
                      bool check)
-    : buf_(buf), hb_(dynamic_cast<buffer::HybridBuffer *>(&buf)),
-      wl_(wl), check_(check), checker_(wl.queues())
+    : buf_(buf), wl_(wl), check_(check), checker_(wl.queues())
 {}
 
-template <typename Buffer>
-void
-SimRunner::runLoop(std::uint64_t slots, Buffer &buf)
+RunResult
+SimRunner::run(std::uint64_t slots)
 {
-    // Concrete admission probe: with Buffer = HybridBuffer (final)
-    // both this call and step() devirtualize and inline.
+    buffer::HybridBuffer &buf = buf_;
     const auto admit = [&buf](QueueId q) { return buf.wouldAdmit(q); };
     for (std::uint64_t i = 0; i < slots; ++i) {
         const Stimulus s = wl_.step(buf.now(), admit);
@@ -32,15 +27,6 @@ SimRunner::runLoop(std::uint64_t slots, Buffer &buf)
         }
         ++slots_;
     }
-}
-
-RunResult
-SimRunner::run(std::uint64_t slots)
-{
-    if (hb_)
-        runLoop(slots, *hb_);
-    else
-        runLoop(slots, buf_);
     RunResult r;
     r.slots = slots_;
     r.arrivals = arrivals_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * SimRunner: drives a PacketBuffer with a Workload for a number of
+ * SimRunner: drives a HybridBuffer with a Workload for a number of
  * slots, applying ingress admission control and verifying every
  * grant against the golden FIFO model.
  */
@@ -10,15 +10,10 @@
 
 #include <cstdint>
 
-#include "buffer/packet_buffer.hh"
+#include "buffer/hybrid_buffer.hh"
 #include "common/stats.hh"
 #include "sim/golden.hh"
 #include "sim/workload.hh"
-
-namespace pktbuf::buffer
-{
-class HybridBuffer;
-}
 
 namespace pktbuf::sim
 {
@@ -41,15 +36,10 @@ class SimRunner
      * @param check verify grants against the golden model (leave on
      *        except in throughput micro-benchmarks).
      */
-    SimRunner(buffer::PacketBuffer &buf, Workload &wl,
+    SimRunner(buffer::HybridBuffer &buf, Workload &wl,
               bool check = true);
 
-    /**
-     * Advance `slots` slots (cumulative across calls).  When the
-     * buffer is the concrete HybridBuffer the loop runs through a
-     * devirtualized instantiation (step, wouldAdmit and the workload
-     * admission probe all inline); behavior is identical either way.
-     */
+    /** Advance `slots` slots (cumulative across calls). */
     RunResult run(std::uint64_t slots);
 
     const GoldenChecker &checker() const { return checker_; }
@@ -69,13 +59,7 @@ class SimRunner
     void load(ser::Reader &r);
 
   private:
-    template <typename Buffer>
-    void runLoop(std::uint64_t slots, Buffer &buf);
-
-    buffer::PacketBuffer &buf_;  // ser: config
-    /** Non-null when buf_ is the concrete HybridBuffer; selects the
-     *  devirtualized loop instantiation. */
-    buffer::HybridBuffer *hb_;  // ser: config
+    buffer::HybridBuffer &buf_;  // ser: config
     Workload &wl_;  // ser: config
     bool check_;  // ser: config
     GoldenChecker checker_;

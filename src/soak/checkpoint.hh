@@ -7,7 +7,7 @@
  * The envelope is a versioned binary format:
  *
  *   "PKCK"            4-byte magic tag
- *   version           u32 (currently 1)
+ *   version           u32 (currently 2)
  *   config fingerprint u64 -- FNV-1a of Scenario::describe(), so a
  *                     checkpoint can only be restored into the same
  *                     leg (same grid, seed, slots, timing)
@@ -42,8 +42,10 @@
 namespace pktbuf::soak
 {
 
-/** Current envelope version; bumped on any layout change. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/** Current envelope version; bumped on any layout change.  Version 2
+ *  dropped the (always empty) quantile section from every
+ *  StatRegistry block. */
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
  * Wrap a serialized payload in the versioned envelope.

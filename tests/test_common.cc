@@ -140,43 +140,6 @@ TEST(Stats, HighWaterTracksMaximum)
     EXPECT_EQ(h.max(), 7);
 }
 
-TEST(Stats, HistogramPercentile)
-{
-    Histogram h(1.0, 16);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i % 10);
-    EXPECT_NEAR(h.percentile(0.5), 5.0, 1.1);
-    EXPECT_NEAR(h.percentile(0.99), 10.0, 1.1);
-}
-
-TEST(Stats, HistogramUnderflowBucketCatchesNegatives)
-{
-    // A negative sample must not be clamped into bucket 0 -- a
-    // latency-delta histogram would silently mask sign errors.
-    Histogram h(1.0, 8);
-    h.sample(-3.0);
-    h.sample(-0.5);
-    h.sample(0.0);
-    h.sample(2.5);
-    EXPECT_EQ(h.underflow(), 2u);
-    EXPECT_EQ(h.buckets()[0], 1u);  // only the genuine 0.0 sample
-    EXPECT_EQ(h.buckets()[2], 1u);
-    EXPECT_EQ(h.summary().count(), 4u);
-    EXPECT_DOUBLE_EQ(h.summary().min(), -3.0);
-}
-
-TEST(Stats, HistogramPercentileAccountsForUnderflow)
-{
-    Histogram h(1.0, 8);
-    for (int i = 0; i < 9; ++i)
-        h.sample(-1.0);
-    h.sample(5.0);
-    // 90% of the mass is below zero; the 50th percentile must not
-    // report a bucket value as if the negatives were in bucket 0.
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    EXPECT_GT(h.percentile(0.95), 5.0);
-}
-
 TEST(ShiftRegister, FifoWithExactDepth)
 {
     ShiftRegister<int> sr(3, -1);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Soak-layer tests: the serialization codec, the P^2 streaming
+ * Soak-layer tests: the serialization codec, the joint P^2 streaming
  * quantile estimator, the checkpoint envelope (including corruption
  * rejection), and the layer's core invariant -- save-at-slot-k +
  * restore-into-fresh-objects + run-to-N is bit-identical to an
@@ -113,7 +113,7 @@ TEST(SerializeCodec, RngStreamContinuesAcrossRoundTrip)
         EXPECT_EQ(a.next(), b.next());
 }
 
-// ------------------------------------------------- P^2 quantile
+// ------------------------------------------- joint P^2 estimator
 
 /** Exact percentile: linear interpolation at rank p*(n-1). */
 double
@@ -128,102 +128,43 @@ exactQuantile(std::vector<double> v, double p)
     return v[lo] + frac * (v[lo + 1] - v[lo]);
 }
 
-TEST(P2Quantile, ExactForFiveOrFewerSamples)
+/**
+ * Regression (stats-correctness sweep): *independent* P^2 estimators
+ * can cross each other -- on the pinned alternating stream {0, 0.5,
+ * 0, 0.5, ...} a standalone p50 exceeds a standalone p99 at n == 7
+ * -- which is the defect the old SwitchReport flooring hack papered
+ * over.  The joint P2QuantileSet shares one sorted marker vector, so
+ * its quantiles are ordered by construction; the hack is gone.
+ */
+TEST(P2QuantileSet, PinnedCrossingStreamStaysOrdered)
 {
-    const std::vector<double> data = {4.0, 1.0, 3.0, 2.0, 5.0};
-    for (std::size_t n = 1; n <= data.size(); ++n) {
-        const std::vector<double> prefix(data.begin(),
-                                         data.begin() + n);
-        for (const double p : {0.5, 0.9, 0.99}) {
-            P2Quantile q(p);
-            for (const double v : prefix)
-                q.sample(v);
-            EXPECT_DOUBLE_EQ(q.quantile(), exactQuantile(prefix, p))
-                << "n=" << n << " p=" << p;
-        }
+    P2QuantileSet joint({0.5, 0.99});
+    for (int n = 1; n <= 50; ++n) {
+        joint.sample(((n - 1) % 2) * 0.5);
+        EXPECT_GE(joint.quantile(0.99), joint.quantile(0.5))
+            << "n=" << n;
     }
 }
 
-TEST(P2Quantile, TracksExactPercentilesOnLargeStreams)
+TEST(P2QuantileSet, TracksExactPercentilesOnLargeStreams)
 {
-    // Deterministic uniform stream: the P^2 markers must stay close
-    // to the exact percentile of the full sample.
+    // Deterministic smooth uniform stream: the P^2 markers must stay
+    // close to the exact percentile of the full sample.
     Rng rng(7);
     std::vector<double> all;
-    P2Quantile p50(0.5);
-    P2Quantile p99(0.99);
+    P2QuantileSet q({0.5, 0.99});
     for (int i = 0; i < 20000; ++i) {
         const double v =
             static_cast<double>(rng.below(100000)) / 100.0;
         all.push_back(v);
-        p50.sample(v);
-        p99.sample(v);
+        q.sample(v);
     }
     // Uniform on [0, 1000): exact p50 ~ 500, p99 ~ 990.
-    EXPECT_NEAR(p50.quantile(), exactQuantile(all, 0.5), 10.0);
-    EXPECT_NEAR(p99.quantile(), exactQuantile(all, 0.99), 10.0);
+    EXPECT_NEAR(q.quantile(0.5), exactQuantile(all, 0.5), 10.0);
+    EXPECT_NEAR(q.quantile(0.99), exactQuantile(all, 0.99), 10.0);
     // Estimates never leave the observed range.
-    EXPECT_GE(p50.quantile(), 0.0);
-    EXPECT_LE(p99.quantile(), 1000.0);
-}
-
-TEST(P2Quantile, MemoryStaysConstantAndRoundTrips)
-{
-    // Stream a million samples through an estimator whose footprint
-    // is 20 doubles, checkpoint it mid-stream, and confirm the
-    // restored copy produces bit-identical estimates ever after.
-    P2Quantile a(0.99);
-    Rng rng(3);
-    for (int i = 0; i < 500000; ++i)
-        a.sample(static_cast<double>(rng.below(1 << 20)));
-
-    ser::Writer w;
-    a.save(w);
-    P2Quantile b(0.99);
-    ser::Reader r(w.bytes());
-    b.load(r);
-    r.done();
-
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.quantile(), b.quantile());
-    for (int i = 0; i < 500000; ++i) {
-        const double v = static_cast<double>(rng.below(1 << 20));
-        a.sample(v);
-        b.sample(v);
-    }
-    EXPECT_EQ(a.quantile(), b.quantile());
-}
-
-// ------------------------------------------- joint P^2 estimator
-
-/**
- * Regression (stats-correctness sweep): *independent* P^2 estimators
- * can cross each other -- on the pinned alternating stream {0, 0.5,
- * 0, 0.5, ...} the standalone p50 exceeds the standalone p99 at
- * n == 7 -- which is the defect the old SwitchReport flooring hack
- * papered over.  The joint P2QuantileSet shares one sorted marker
- * vector, so its quantiles are ordered by construction; the hack is
- * gone.
- */
-TEST(P2QuantileSet, PinnedCrossingStreamStaysOrdered)
-{
-    P2Quantile lone50(0.5);
-    P2Quantile lone99(0.99);
-    P2QuantileSet joint({0.5, 0.99});
-    bool lone_crossed = false;
-    for (int n = 1; n <= 50; ++n) {
-        const double v = ((n - 1) % 2) * 0.5;
-        lone50.sample(v);
-        lone99.sample(v);
-        joint.sample(v);
-        if (lone99.quantile() < lone50.quantile())
-            lone_crossed = true;
-        EXPECT_GE(joint.quantile(0.99), joint.quantile(0.5))
-            << "n=" << n;
-    }
-    // The defect is real: the independent estimators do cross on
-    // this stream (first at n == 7).
-    EXPECT_TRUE(lone_crossed);
+    EXPECT_GE(q.quantile(0.5), 0.0);
+    EXPECT_LE(q.quantile(0.99), 1000.0);
 }
 
 TEST(P2QuantileSet, ExactForSevenOrFewerSamples)
@@ -312,6 +253,20 @@ TEST(P2QuantileSet, RoundTripsMidStream)
     EXPECT_EQ(a.quantile(0.99), b.quantile(0.99));
 }
 
+TEST(P2QuantileSet, LoadRejectsDifferentTargets)
+{
+    // Same target count, different targets: restoring must fail
+    // loudly rather than leave markers built for 0.9 answering 0.99.
+    P2QuantileSet a({0.5, 0.9});
+    for (int i = 0; i < 100; ++i)
+        a.sample(static_cast<double>(i));
+    ser::Writer w;
+    a.save(w);
+    P2QuantileSet b({0.5, 0.99});
+    ser::Reader r(w.bytes());
+    EXPECT_THROW(b.load(r), FatalError);
+}
+
 TEST(AggregateStat, MatchesExactPercentiles)
 {
     // <= 5 ports: the aggregation is exact by construction.
@@ -322,8 +277,8 @@ TEST(AggregateStat, MatchesExactPercentiles)
     EXPECT_DOUBLE_EQ(a.max, 4.0);
 
     // Larger port counts: close to exact, inside [min, max], and
-    // monotone (p99 >= p50) -- the properties the old fixed-width
-    // Histogram could not guarantee.
+    // monotone (p99 >= p50) -- the properties a fixed-width
+    // histogram could not guarantee.
     std::vector<double> many;
     Rng rng(11);
     for (int i = 0; i < 64; ++i)
@@ -342,21 +297,27 @@ TEST(StatRegistry, LoadPreservesComponentPointers)
     StatRegistry reg;
     Counter &c = reg.counter("layer.events");
     c.inc(5);
-    reg.sampler("layer.delay").sample(2.0);
-    reg.quantile("layer.p99", 0.99).sample(7.0);
+    Sampler &s = reg.sampler("layer.delay");
+    s.sample(2.0);
+    HighWater &hw = reg.highWater("layer.occupancy");
+    hw.observe(7);
 
     ser::Writer w;
     reg.save(w);
     c.inc(100);  // diverge after the snapshot
+    s.sample(9.0);
+    hw.observe(40);
 
     ser::Reader r(w.bytes());
     reg.load(r);
     r.done();
-    // The pointer obtained before load() must still be live and must
-    // see the restored value: components cache Counter* across
-    // checkpoint cycles.
+    // The references obtained before load() must still be live and
+    // must see the restored values: components cache Counter* (and
+    // friends) across checkpoint cycles.
     EXPECT_EQ(c.value(), 5u);
-    EXPECT_EQ(reg.quantile("layer.p99", 0.99).count(), 1u);
+    EXPECT_EQ(s.count(), 1u);
+    EXPECT_EQ(s.max(), 2.0);
+    EXPECT_EQ(hw.max(), 7);
 }
 
 // ---------------------------------------------- checkpoint envelope
@@ -390,6 +351,17 @@ TEST(CheckpointEnvelope, RejectsCorruptionAndMismatch)
         std::string bad = sealed;
         bad[4] = 0x7f;  // version lives right after the 4-byte magic
         EXPECT_THROW(soak::openCheckpoint(bad, 77), FatalError);
+    }
+    // An otherwise well-formed envelope of the previous version: its
+    // StatRegistry blocks carry a section this build no longer reads.
+    {
+        ser::Writer w;
+        w.tag("PKCK");
+        w.u32(1);
+        w.u64(77);
+        w.str(payload);
+        w.u64(ser::fnv1a(payload));
+        EXPECT_THROW(soak::openCheckpoint(w.take(), 77), FatalError);
     }
     // Trailing garbage.
     EXPECT_THROW(soak::openCheckpoint(sealed + "!", 77), FatalError);

@@ -18,7 +18,7 @@ StatKeyCheck::registerMatchers(MatchFinder *Finder)
     Finder->addMatcher(
         cxxMemberCallExpr(
             callee(cxxMethodDecl(
-                hasAnyName("counter", "sampler", "highWater", "quantile"),
+                hasAnyName("counter", "sampler", "highWater"),
                 ofClass(hasName("::pktbuf::StatRegistry")))),
             unless(isExpansionInSystemHeader()))
             .bind("reg"),

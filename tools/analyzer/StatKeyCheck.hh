@@ -1,7 +1,7 @@
 //===--- StatKeyCheck.hh - pktbuf-stat-key -------------------------------===//
 //
 // String literals passed to StatRegistry registration (counter /
-// sampler / highWater / quantile) must follow the `component.metric`
+// sampler / highWater) must follow the `component.metric`
 // grammar -- lower-case alnum/underscore tokens joined by dots -- and
 // a full-literal key must be registered from exactly one source
 // location, so `grep <key>` from a stat dump lands on one site.

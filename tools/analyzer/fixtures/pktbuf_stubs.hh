@@ -57,19 +57,12 @@ class HighWater
     void observe(long long v);
 };
 
-class P2Quantile
-{
-  public:
-    void sample(double v);
-};
-
 class StatRegistry
 {
   public:
     Counter &counter(const std::string &name);
     Sampler &sampler(const std::string &name);
     HighWater &highWater(const std::string &name);
-    P2Quantile &quantile(const std::string &name, double prob);
 };
 
 namespace sweep

@@ -10,7 +10,6 @@ registerOnce(pktbuf::StatRegistry &stats, const std::string &cause,
     stats.counter("dsa.stall.bank_busy");
     stats.sampler("dsa.queue_delay");
     stats.highWater("rr.occupancy");
-    stats.quantile("across_ports.delay_p99", 0.99);
 
     // Runtime-composed keys: literal fragments follow the charset.
     stats.counter(std::string("dsa.stall.") + cause);

@@ -21,17 +21,13 @@ Both hooks must still *mention* an unannotated member; referencing it
 in load() alone (e.g. a reset) without saving it is reported, and
 vice versa.
 
-Engine: uses the clang AST via ``clang.cindex`` when libclang is
-importable.  The regex/lexical parser is a *fallback only* -- the
-authoritative AST-grade enforcement lives in the in-tree clang-tidy
-plugin (``tools/analyzer``, check ``pktbuf-serialization-complete``),
-and when this script drops to the regex engine it says so on stderr.
-The two engines enforce the same rule; ``--engine`` forces one, and
-``--cross-check`` runs both and fails if they disagree on the tree
-(exit 77 = skipped because libclang is unavailable).
+Engine: a regex/lexical parser, the fast local check.  The
+authoritative AST-grade enforcement of the same rule is the in-tree
+clang-tidy plugin (``tools/analyzer``, check
+``pktbuf-serialization-complete``); CI requires both to pass on the
+tree, so the two must agree on it.
 
-Exit status: 0 clean/agree, 1 findings/disagree, 2 usage error,
-77 cross-check skipped.
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -295,61 +291,6 @@ def parse_regex(paths: list[str]) -> dict[str, ClassInfo]:
     return classes
 
 
-def parse_clang(paths: list[str]) -> dict[str, ClassInfo] | None:
-    """clang.cindex engine; returns None when libclang is unusable."""
-    try:
-        from clang import cindex  # type: ignore
-        index = cindex.Index.create()
-    except Exception:
-        return None
-
-    classes: dict[str, ClassInfo] = {}
-    kinds = cindex.CursorKind
-    for path in paths:
-        try:
-            tu = index.parse(path, args=["-std=c++20", "-Isrc"])
-        except Exception:
-            return None
-
-        def visit(node):
-            if node.kind in (kinds.CLASS_DECL, kinds.STRUCT_DECL) \
-                    and node.is_definition():
-                cls = classes.setdefault(
-                    node.spelling,
-                    ClassInfo(node.spelling, path,
-                              node.location.line))
-                for ch in node.get_children():
-                    if ch.kind == kinds.FIELD_DECL:
-                        st = read_stripped(path)
-                        cls.members[ch.spelling] = (
-                            ch.location.line,
-                            _annotated(st, ch.location.line))
-                    elif ch.kind == kinds.CXX_METHOD:
-                        args = [a.type.spelling
-                                for a in ch.get_arguments()]
-                        body = " ".join(t.spelling
-                                        for t in ch.get_tokens())
-                        if ch.spelling.startswith("save") and any(
-                                "Writer" in a for a in args):
-                            cls.save_declared = True
-                            if ch.is_definition():
-                                cls.save_bodies.append(body)
-                            elif ch.is_pure_virtual_method():
-                                cls.pure_save = True
-                        if ch.spelling.startswith("load") and any(
-                                "Reader" in a for a in args):
-                            cls.load_declared = True
-                            if ch.is_definition():
-                                cls.load_bodies.append(body)
-                            elif ch.is_pure_virtual_method():
-                                cls.pure_load = True
-            for ch in node.get_children():
-                visit(ch)
-
-        visit(tu.cursor)
-    return classes
-
-
 def _inherits_hooks(cls: ClassInfo, classes: dict[str, ClassInfo],
                     seen: frozenset[str] = frozenset()) -> bool:
     """True when an ancestor declares both hooks (pure or concrete)."""
@@ -421,53 +362,8 @@ def check(classes: dict[str, ClassInfo]) -> list[Finding]:
     return findings
 
 
-def run(paths: list[str], engine: str) -> list[Finding]:
-    classes = None
-    if engine in ("auto", "clang"):
-        classes = parse_clang(paths)
-        if classes is None and engine == "clang":
-            print(f"{TOOL}: libclang unavailable", file=sys.stderr)
-            sys.exit(2)
-    if classes is None:
-        if engine == "auto":
-            # The regex engine is demoted to fallback duty: the
-            # clang-tidy plugin (tools/analyzer) is the authoritative
-            # AST-grade enforcement; say which engine actually ran so
-            # a silent downgrade never masquerades as an AST pass.
-            print(f"{TOOL}: note: libclang unavailable, using the "
-                  f"regex fallback engine", file=sys.stderr)
-        classes = parse_regex(paths)
-    return check(classes)
-
-
-def cross_check(paths: list[str]) -> int:
-    """Both engines over the same files must report the same findings.
-
-    Guards the fallback's fidelity: if the regex engine drifts from
-    the AST view of the tree (a parsing style it cannot follow, an
-    annotation it misses), this fails before the drift ships.
-    """
-    clang_classes = parse_clang(paths)
-    if clang_classes is None:
-        print(f"{TOOL}: --cross-check skipped: libclang unavailable",
-              file=sys.stderr)
-        return 77
-    def as_key(f: Finding) -> tuple[str, str, str]:
-        return (f.path, f.rule, f.message)
-
-    clang_findings = {as_key(f) for f in check(clang_classes)}
-    regex_findings = {as_key(f) for f in check(parse_regex(paths))}
-    for label, extra in (("clang-only", clang_findings - regex_findings),
-                         ("regex-only", regex_findings - clang_findings)):
-        for path, rule, message in sorted(extra):
-            print(f"{TOOL}: {label}: {path}: [{rule}] {message}")
-    if clang_findings != regex_findings:
-        print(f"{TOOL}: engines disagree on {len(paths)} files",
-              file=sys.stderr)
-        return 1
-    print(f"{TOOL}: engines agree on {len(paths)} files "
-          f"({len(clang_findings)} findings)")
-    return 0
+def run(paths: list[str]) -> list[Finding]:
+    return check(parse_regex(paths))
 
 
 # ---------------------------------------------------------------- fixtures
@@ -542,14 +438,7 @@ def self_test() -> int:
             path = os.path.join(tmp, "fixture.hh")
             with open(path, "w") as f:
                 f.write(text)
-            count = len(run([path], "regex"))
-            cases.append((desc + " (regex)", clean, count))
-            try:
-                from clang import cindex  # noqa: F401
-                count = len(run([path], "clang"))
-                cases.append((desc + " (clang)", clean, count))
-            except Exception:
-                pass
+            cases.append((desc, clean, len(run([path]))))
     return run_self_test(TOOL, cases)
 
 
@@ -557,12 +446,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="*", default=None,
                     help="files/dirs to scan (default: src/)")
-    ap.add_argument("--engine", choices=("auto", "regex", "clang"),
-                    default="auto")
     ap.add_argument("--self-test", action="store_true")
-    ap.add_argument("--cross-check", action="store_true",
-                    help="run both engines and fail on disagreement "
-                         "(exit 77 when libclang is unavailable)")
     args = ap.parse_args()
     if args.self_test:
         return self_test()
@@ -571,9 +455,7 @@ def main() -> int:
     if not paths:
         print(f"{TOOL}: no C++ sources under {roots}", file=sys.stderr)
         return 2
-    if args.cross_check:
-        return cross_check(paths)
-    return report(run(paths, args.engine), TOOL)
+    return report(run(paths), TOOL)
 
 
 if __name__ == "__main__":

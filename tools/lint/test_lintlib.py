@@ -90,7 +90,7 @@ def _regex_findings(text: str) -> list[Finding]:
         path = os.path.join(tmp, "fixture.hh")
         with open(path, "w") as f:
             f.write(text)
-        return check_serialization.run([path], "regex")
+        return check_serialization.run([path])
 
 
 class RegexEngineMembers(unittest.TestCase):
