@@ -206,10 +206,17 @@ QueueId
 CrossbarPortWorkload::arrivalQueue(Slot)
 {
     // arrivalQueue runs before step() lands the arrival, so this is
-    // the same start-of-slot VOQ snapshot the matching engine hands
-    // its scheduler.
+    // the same start-of-slot VOQ depth the matching engine hands its
+    // scheduler.
     if (self_greedy_)
         start_credit_ = credit(0);
+    arrival_ = pickArrival();
+    return arrival_;
+}
+
+QueueId
+CrossbarPortWorkload::pickArrival()
+{
     if (!rng_.chance(load_))
         return kInvalidQueue;
     const unsigned n = dest_.outputs;
@@ -284,8 +291,9 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
       sched_(makeScheduler(
           cfg.scheduler, cfg.ports, cfg.islipIterations,
           cfg.qpsWindow, sweep::deriveSeed(cfg.masterSeed, kSchedSalt))),
-      wl_(cfg.ports, nullptr)
+      wl_(cfg.ports, nullptr), occ_(cfg.ports), taken_(occ_.words(), 0)
 {
+    // Fresh workloads hold no credit: the all-zero occ_ is exact.
     inputs_.reserve(cfg.ports);
     for (unsigned i = 0; i < cfg.ports; ++i) {
         // The factory runs synchronously inside the ScenarioRun
@@ -301,14 +309,13 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
 }
 
 void
-CrossbarRun::validate(Slot t, const Occupancy &occ,
-                      const Matching &m) const
+CrossbarRun::validate(Slot t, const Matching &m)
 {
     const unsigned n = cfg_.ports;
     panic_if(m.size() != n, "scheduler ", sched_->name(),
              " returned ", m.size(), " entries for ", n,
              " inputs at slot ", t);
-    std::vector<bool> taken(n, false);
+    std::fill(taken_.begin(), taken_.end(), 0);
     for (unsigned i = 0; i < n; ++i) {
         const QueueId j = m[i];
         if (j == kInvalidQueue)
@@ -316,12 +323,13 @@ CrossbarRun::validate(Slot t, const Occupancy &occ,
         panic_if(j >= n, "scheduler ", sched_->name(),
                  " matched input ", i, " to invalid output ", j,
                  " at slot ", t);
-        panic_if(taken[j], "scheduler ", sched_->name(),
+        const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+        panic_if(taken_[j / 64] & bit, "scheduler ", sched_->name(),
                  " granted output ", j, " twice at slot ", t);
-        panic_if(occ.at(i, j) == 0, "scheduler ", sched_->name(),
+        panic_if(occ_.at(i, j) == 0, "scheduler ", sched_->name(),
                  " granted empty VOQ (", i, " -> ", j, ") at slot ",
                  t);
-        taken[j] = true;
+        taken_[j / 64] |= bit;
     }
 }
 
@@ -335,25 +343,17 @@ CrossbarRun::runTo(std::uint64_t slot)
              " beyond the main phase (", cfg_.slots, " slots)");
     const unsigned n = cfg_.ports;
     for (std::uint64_t t = executed_; t < slot; ++t) {
-        // Start-of-slot VOQ snapshot: credits are cells arrived but
+        // occ_ holds the start-of-slot credits: cells arrived but
         // not yet requested, exactly what the fabric may move.
-        Occupancy occ(n);
-        bool any = false;
-        for (unsigned i = 0; i < n; ++i) {
-            for (unsigned j = 0; j < n; ++j) {
-                const auto c = wl_[i]->credit(j);
-                occ.at(i, j) = c;
-                any = any || c > 0;
-            }
-        }
-        Matching m(n, kInvalidQueue);
+        // An all-empty fabric slot never consults the scheduler, so
+        // its RNG/pointer state stays a pure function of the traffic
+        // it actually arbitrated.
+        const bool any = occ_.total() > 0;
+        const Matching m =
+            any ? sched_->schedule(occ_) : Matching(n, kInvalidQueue);
         unsigned iters = 0;
         if (any) {
-            // An all-empty fabric slot never consults the scheduler,
-            // so its RNG/pointer state stays a pure function of the
-            // traffic it actually arbitrated.
-            m = sched_->schedule(occ);
-            validate(t, occ, m);
+            validate(t, m);
             iters = sched_->lastIterations();
             ++active_slots_;
             iter_sum_ += iters;
@@ -365,7 +365,16 @@ CrossbarRun::runTo(std::uint64_t slot)
             inputs_[i]->runTo(t + 1);
         executed_ = t + 1;
         if (any && onMatch)
-            onMatch(t, occ, m, iters);
+            onMatch(t, occ_, m, iters);
+        // The slot moved credit only on input i's granted VOQ and on
+        // the VOQ its arrival picked (unchanged if it was dropped).
+        for (unsigned i = 0; i < n; ++i) {
+            const CrossbarPortWorkload &w = *wl_[i];
+            if (m[i] != kInvalidQueue)
+                occ_.set(i, m[i], w.credit(m[i]));
+            if (w.lastArrival() != kInvalidQueue)
+                occ_.set(i, w.lastArrival(), w.credit(w.lastArrival()));
+        }
     }
 }
 
@@ -409,6 +418,10 @@ CrossbarRun::restore(const std::string &bytes)
         fatal_if(in->executed() != executed_,
                  "checkpoint: input slot cursor ", in->executed(),
                  " diverges from the fabric's ", executed_);
+    const unsigned ports = cfg_.ports;
+    for (unsigned i = 0; i < ports; ++i)
+        for (unsigned j = 0; j < ports; ++j)
+            occ_.set(i, j, wl_[i]->credit(j));
 }
 
 CrossbarOutcome

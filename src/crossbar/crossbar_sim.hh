@@ -13,16 +13,17 @@
  * The layering deliberately adds no second simulation code path:
  * input i *is* a soak::ScenarioRun (the checkpointable
  * runScenarioWith() skeleton) whose workload's requests are the
- * matching engine's grants.  Per slot the engine snapshots every
- * input's VOQ credits into an Occupancy matrix, asks the scheduler
- * for a matching, validates it (conflict-free, backed -- panics
- * otherwise: a bad matching is a scheduler bug), injects each grant
- * into its input's workload and advances all inputs one lockstep
- * slot.  A 1x1 crossbar therefore reproduces the matching
- * single-buffer scenario leg bit-for-bit (any maximal scheduler is
- * work-conserving at N == 1), and checkpoint/restore of the whole
- * fabric -- scheduler pointers, RNG, every input's sealed envelope --
- * is bit-identical to an unbroken run.  tests/test_crossbar.cc
+ * matching engine's grants.  Per slot the engine hands the
+ * scheduler its Occupancy of every input's VOQ credits, validates
+ * the matching (conflict-free, backed -- panics otherwise: a bad
+ * matching is a scheduler bug), injects each grant into its input's
+ * workload, advances all inputs one lockstep slot and re-reads the
+ * two credits per input the slot may have changed (the granted VOQ
+ * and the arrival's).  A 1x1 crossbar therefore reproduces the
+ * matching single-buffer scenario leg bit-for-bit (any maximal
+ * scheduler is work-conserving at N == 1), and checkpoint/restore of
+ * the whole fabric -- scheduler pointers, RNG, every input's sealed
+ * envelope -- is bit-identical to an unbroken run.  tests/test_crossbar.cc
  * enforces both.
  *
  * Destination patterns reuse the switch layer's TrafficPattern
@@ -215,6 +216,10 @@ class CrossbarPortWorkload : public sim::Workload
         grant_ = out;
     }
 
+    /** The VOQ the last slot's arrival picked, admitted or dropped;
+     *  kInvalidQueue when no cell arrived. */
+    QueueId lastArrival() const { return arrival_; }
+
   protected:
     QueueId arrivalQueue(Slot now) override;
     QueueId requestQueue(Slot now) override;
@@ -222,11 +227,17 @@ class CrossbarPortWorkload : public sim::Workload
     void loadExtra(ser::Reader &r) override;
 
   private:
+    /** Draw this slot's arrival VOQ from the destination process. */
+    QueueId pickArrival();
+
     DestPlan dest_;  // ser: config
     double load_;  // ser: config
     bool self_greedy_;  // ser: config
     /** Engine-injected grant; consumed (reset) every slot. */
     QueueId grant_ = kInvalidQueue;  // ser: derived
+    /** Rewritten every slot by arrivalQueue(); read back by the
+     *  engine within the same slot. */
+    QueueId arrival_ = kInvalidQueue;  // ser: derived
     /** Incast: cells left in the current victim-directed burst. */
     std::uint64_t burst_remaining_ = 0;
     /**
@@ -331,8 +342,7 @@ class CrossbarRun
         onMatch;
 
   private:
-    void validate(Slot t, const Occupancy &occ,
-                  const Matching &m) const;
+    void validate(Slot t, const Matching &m);
 
     CrossbarConfig cfg_;
     std::vector<InputPlan> plans_;
@@ -340,8 +350,16 @@ class CrossbarRun
     std::unique_ptr<Scheduler> sched_;
     std::vector<std::unique_ptr<soak::ScenarioRun>> inputs_;
     /** The inputs' workloads (owned by inputs_), for grant
-     *  injection and occupancy snapshots. */
+     *  injection and occupancy updates. */
     std::vector<CrossbarPortWorkload *> wl_;
+    /**
+     * The inputs' VOQ credits, kept in step slot by slot: a slot
+     * changes at most input i's granted VOQ and its arrival's.  Only
+     * restore() reads all N^2 credits.
+     */
+    Occupancy occ_;
+    /** validate() scratch: the outputs a matching used. */
+    std::vector<std::uint64_t> taken_;
     std::uint64_t executed_ = 0;
     std::uint64_t match_edges_ = 0;
     std::uint64_t active_slots_ = 0;

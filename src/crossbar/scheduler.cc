@@ -1,6 +1,7 @@
 #include "scheduler.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -127,9 +128,53 @@ parseSchedulerKind(const std::string &token, SchedulerKind &out)
     return true;
 }
 
+namespace
+{
+
+/**
+ * First set bit at or after `from`, cyclically, of the bitset whose
+ * k-th u64 word is word(k), over `words` words; `none` when no bit
+ * is set.  Bits at or beyond the radix must be clear.
+ */
+template <typename WordFn>
+unsigned
+firstCyclic(unsigned words, unsigned from, unsigned none, WordFn word)
+{
+    unsigned w = from / 64;
+    std::uint64_t x = word(w) & (~std::uint64_t{0} << (from % 64));
+    // words + 1 visits: the last re-reads the start word whole, for
+    // the bits below `from` that come after the wrap.
+    for (unsigned k = 0; k <= words; ++k) {
+        if (x)
+            return w * 64 + static_cast<unsigned>(std::countr_zero(x));
+        w = w + 1 == words ? 0 : w + 1;
+        x = word(w);
+    }
+    return none;
+}
+
+/** Set bits [0, n) of a ceil(n / 64)-word bitset, clear the rest. */
+void
+setLow(std::vector<std::uint64_t> &set, unsigned n)
+{
+    std::fill(set.begin(), set.end(), ~std::uint64_t{0});
+    if (n % 64)
+        set.back() = (std::uint64_t{1} << (n % 64)) - 1;
+}
+
+std::uint64_t
+bit(unsigned i)
+{
+    return std::uint64_t{1} << (i % 64);
+}
+
+} // namespace
+
 IslipScheduler::IslipScheduler(unsigned ports, unsigned iterations)
     : ports_(ports), iterations_(iterations), g_(ports, 0),
-      a_(ports, 0)
+      a_(ports, 0), in_free_((ports + 63) / 64),
+      out_free_(in_free_.size()), granted_(in_free_.size()),
+      grants_(static_cast<std::size_t>(ports) * in_free_.size(), 0)
 {
     fatal_if(ports == 0, "islip: zero ports");
     fatal_if(iterations == 0, "islip: zero iterations");
@@ -147,47 +192,58 @@ Matching
 IslipScheduler::schedule(const Occupancy &occ)
 {
     const unsigned n = ports_;
+    panic_if(occ.ports() != n, "islip: ", occ.ports(),
+             "-port occupancy for ", n, " ports");
+    const unsigned words = occ.words();
     Matching match(n, kInvalidQueue);
-    std::vector<bool> out_matched(n, false);
+    setLow(in_free_, n);
+    setLow(out_free_, n);
     last_iters_ = 0;
     for (unsigned it = 0; it < iterations_; ++it) {
         // Grant: each unmatched output picks the first unmatched
         // input with a backed VOQ at or after its grant pointer.
-        std::vector<QueueId> grant(n, kInvalidQueue);
-        for (unsigned j = 0; j < n; ++j) {
-            if (out_matched[j])
-                continue;
-            for (unsigned k = 0; k < n; ++k) {
-                const unsigned i = (g_[j] + k) % n;
-                if (match[i] == kInvalidQueue && occ.at(i, j) > 0) {
-                    grant[j] = i;
-                    break;
-                }
+        bool granted_any = false;
+        for (unsigned w = 0; w < words; ++w) {
+            for (auto x = out_free_[w]; x; x &= x - 1) {
+                const unsigned j =
+                    w * 64 + static_cast<unsigned>(std::countr_zero(x));
+                const auto req = occ.requesters(j);
+                const unsigned i = firstCyclic(
+                    words, g_[j], n,
+                    [&](unsigned k) { return req[k] & in_free_[k]; });
+                if (i == n)
+                    continue;
+                grants_[static_cast<std::size_t>(i) * words + w] |=
+                    bit(j);
+                granted_[i / 64] |= bit(i);
+                granted_any = true;
             }
         }
-        // Accept: each unmatched input picks the first granting
-        // output at or after its accept pointer.  Pointers move one
-        // past the partner only on first-iteration accepts.
-        bool progress = false;
-        for (unsigned i = 0; i < n; ++i) {
-            if (match[i] != kInvalidQueue)
-                continue;
-            for (unsigned k = 0; k < n; ++k) {
-                const unsigned j = (a_[i] + k) % n;
-                if (grant[j] != i)
-                    continue;
+        if (!granted_any)
+            break;
+        // Accept: each granted input picks the first granting output
+        // at or after its accept pointer.  An output grants one
+        // input, so accepts never collide.  Pointers move one past
+        // the partner only on first-iteration accepts.
+        for (unsigned w = 0; w < words; ++w) {
+            for (auto x = granted_[w]; x; x &= x - 1) {
+                const unsigned i =
+                    w * 64 + static_cast<unsigned>(std::countr_zero(x));
+                std::uint64_t *row =
+                    grants_.data() + static_cast<std::size_t>(i) * words;
+                const unsigned j = firstCyclic(
+                    words, a_[i], n, [row](unsigned k) { return row[k]; });
+                std::fill(row, row + words, 0);
                 match[i] = j;
-                out_matched[j] = true;
-                progress = true;
+                in_free_[i / 64] &= ~bit(i);
+                out_free_[j / 64] &= ~bit(j);
                 if (it == 0) {
                     g_[j] = (i + 1) % n;
                     a_[i] = (j + 1) % n;
                 }
-                break;
             }
+            granted_[w] = 0;
         }
-        if (!progress)
-            break;
         ++last_iters_;
     }
     return match;

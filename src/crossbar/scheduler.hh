@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,19 +40,28 @@ namespace pktbuf::xbar
 {
 
 /**
- * Start-of-slot VOQ occupancy snapshot: at(i, j) is the number of
- * cells waiting at input i for output j (the workload's credit).
- * Square (ports x ports); the matching engine fills it each slot.
+ * VOQ occupancy: at(i, j) is the number of cells waiting at input i
+ * for output j (the workload's credit).  Square (ports x ports).
+ *
+ * Maintained state, not a per-slot snapshot: the crossbar engine
+ * set()s only the VOQs a slot changed.  Next to the counts it keeps,
+ * per output, the request bitset of the inputs whose VOQ to that
+ * output is non-empty -- ceil(ports / 64) u64 words, input i at bit
+ * i % 64 of word i / 64 -- which word-parallel schedulers (iSLIP)
+ * scan instead of a column of counts.
  */
 class Occupancy
 {
   public:
     explicit Occupancy(unsigned ports)
-        : ports_(ports),
-          occ_(static_cast<std::size_t>(ports) * ports, 0)
+        : ports_(ports), words_((ports + 63) / 64),
+          occ_(static_cast<std::size_t>(ports) * ports, 0),
+          req_(static_cast<std::size_t>(ports) * words_, 0)
     {}
 
     unsigned ports() const { return ports_; }
+    /** u64 words per request bitset. */
+    unsigned words() const { return words_; }
 
     std::uint64_t
     at(unsigned in, unsigned out) const
@@ -59,10 +69,24 @@ class Occupancy
         return occ_[static_cast<std::size_t>(in) * ports_ + out];
     }
 
-    std::uint64_t &
-    at(unsigned in, unsigned out)
+    /** Set one VOQ's depth, keeping its request bit and total(). */
+    void
+    set(unsigned in, unsigned out, std::uint64_t count)
     {
-        return occ_[static_cast<std::size_t>(in) * ports_ + out];
+        auto &c = occ_[static_cast<std::size_t>(in) * ports_ + out];
+        total_ = total_ - c + count;
+        c = count;
+        auto &w = req_[static_cast<std::size_t>(out) * words_ + in / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (in % 64);
+        w = count ? w | bit : w & ~bit;
+    }
+
+    /** Inputs with a non-empty VOQ to `out`, as words() words. */
+    std::span<const std::uint64_t>
+    requesters(unsigned out) const
+    {
+        return {req_.data() + static_cast<std::size_t>(out) * words_,
+                words_};
     }
 
     /** Total cells waiting at one input, across all its VOQs. */
@@ -75,19 +99,15 @@ class Occupancy
         return t;
     }
 
-    /** True when no VOQ holds any cell. */
-    bool
-    empty() const
-    {
-        for (const auto c : occ_)
-            if (c)
-                return false;
-        return true;
-    }
+    /** Total cells waiting in the whole fabric. */
+    std::uint64_t total() const { return total_; }
 
   private:
     unsigned ports_;
+    unsigned words_;
     std::vector<std::uint64_t> occ_;
+    std::vector<std::uint64_t> req_;  //!< per output: words_ words
+    std::uint64_t total_ = 0;
 };
 
 /**
@@ -149,7 +169,7 @@ class Scheduler
     virtual std::string name() const = 0;
 
     /**
-     * Compute this slot's matching from the occupancy snapshot.
+     * Compute this slot's matching from the start-of-slot occupancy.
      * @param occ start-of-slot VOQ depths (ports x ports)
      * @return a conflict-free matching over non-empty VOQs
      */
@@ -172,6 +192,12 @@ class Scheduler
  * iteration -- the rule that desynchronizes the pointers and gives
  * iSLIP its 100% uniform-throughput behavior.  Stops early once an
  * iteration adds no edge (the matching is then maximal).
+ *
+ * Word-parallel: an output's grant is the first set bit at or after
+ * its pointer, cyclically, of its request bitset ANDed with the
+ * unmatched inputs; an input's accept is the first set bit at or
+ * after its pointer of the outputs that granted it.  An iteration
+ * costs O(N * ceil(N / 64)) word operations, not O(N^2) probes.
  */
 class IslipScheduler : public Scheduler
 {
@@ -200,6 +226,13 @@ class IslipScheduler : public Scheduler
     unsigned last_iters_ = 0;  // ser: derived
     std::vector<unsigned> g_;  //!< grant pointer, per output
     std::vector<unsigned> a_;  //!< accept pointer, per input
+    /** schedule() scratch, ceil(N / 64) words per bitset: the
+     *  unmatched inputs and outputs, the inputs granted in this
+     *  iteration, and per input the outputs that granted it. */
+    std::vector<std::uint64_t> in_free_;  // ser: derived
+    std::vector<std::uint64_t> out_free_;  // ser: derived
+    std::vector<std::uint64_t> granted_;  // ser: derived
+    std::vector<std::uint64_t> grants_;  // ser: derived
 };
 
 /**

@@ -20,6 +20,8 @@ checkKnobs(const char *layer, unsigned ports, double load,
            double hot_fraction)
 {
     fatal_if(ports == 0, layer, " needs at least one port");
+    fatal_if(ports > kMaxPorts, layer, " has ", ports,
+             " ports, more than the limit of ", kMaxPorts);
     fatal_if(load <= 0.0, layer, " load must be positive");
     fatal_if(pattern == sw::TrafficPattern::Incast && victim >= ports,
              layer, " incast victim ", victim, " out of range (", ports,

@@ -50,10 +50,23 @@ namespace pktbuf::fabric
 unsigned hotCount(unsigned requested, unsigned ports);
 
 /**
- * fatal() on pattern knobs no fabric can run: zero ports, a load
- * that is not positive, an incast victim out of range, or a hotspot
- * or incast fraction outside (0, 1), which would starve one side of
- * the split.  `layer` ("switch", "crossbar") prefixes the message.
+ * Largest radix either fabric accepts.  The crossbar binds: each of
+ * its N inputs is a whole buffer with one VOQ per output, so its
+ * state grows as N^2 VOQs at about 1 KB of per-queue buffer state
+ * each (the RSS step from a constructed 128- to a 256-port
+ * crossbar) -- about 1 GB at 1024 ports, 16 GB at 4096.  A switch
+ * port is one fixed-size buffer, far below that.  Without the bound
+ * a huge radix dies in the allocator instead of failing with this
+ * message.
+ */
+constexpr unsigned kMaxPorts = 1024;
+
+/**
+ * fatal() on pattern knobs no fabric can run: zero ports or more
+ * than kMaxPorts, a load that is not positive, an incast victim out
+ * of range, or a hotspot or incast fraction outside (0, 1), which
+ * would starve one side of the split.  `layer` ("switch",
+ * "crossbar") prefixes the message.
  */
 void checkKnobs(const char *layer, unsigned ports, double load,
                 sw::TrafficPattern pattern, unsigned victim,

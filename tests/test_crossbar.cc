@@ -2,8 +2,9 @@
  * @file
  * Tests of the crossbar layer (src/crossbar): per-slot matching
  * invariants for every scheduler x pattern combination, iSLIP's
- * pointer accept rule, a differential oracle against brute-force
- * maximum matchings, the 1x1 == single-buffer byte equivalence, the
+ * pointer accept rule, the bitset iSLIP against the scalar one it
+ * replaced, a differential oracle against brute-force maximum
+ * matchings, the 1x1 == single-buffer byte equivalence, the
  * 16-port uniform throughput floor, the failure path's text and
  * artifact accounting, checkpoint/restore bit identity and the
  * seeded crossbar fuzz smoke.
@@ -21,6 +22,7 @@
 #include "common/random.hh"
 #include "crossbar/crossbar_sim.hh"
 #include "crossbar/scheduler.hh"
+#include "fabric/fabric.hh"
 #include "fuzz_env.hh"
 #include "soak/checkpoint.hh"
 #include "sweep/scenario_sweep.hh"
@@ -85,7 +87,7 @@ makeOcc(unsigned ports,
     Occupancy occ(ports);
     for (unsigned i = 0; i < ports; ++i)
         for (unsigned j = 0; j < ports; ++j)
-            occ.at(i, j) = rows[i][j];
+            occ.set(i, j, rows[i][j]);
     return occ;
 }
 
@@ -97,8 +99,89 @@ randomOcc(unsigned ports, Rng &rng)
     for (unsigned i = 0; i < ports; ++i)
         for (unsigned j = 0; j < ports; ++j)
             if (rng.chance(0.4))
-                occ.at(i, j) = 1 + rng.below(5);
+                occ.set(i, j, 1 + rng.below(5));
     return occ;
+}
+
+/**
+ * The scalar iSLIP the bitset scheduler replaced: O(N^2) probes per
+ * iteration, one `% N` per probe.  Kept verbatim as the reference of
+ * the differential test.
+ */
+struct ScalarIslip
+{
+    unsigned ports;
+    unsigned iterations;
+    unsigned lastIters = 0;
+    std::vector<unsigned> g = std::vector<unsigned>(ports, 0);
+    std::vector<unsigned> a = std::vector<unsigned>(ports, 0);
+
+    Matching
+    schedule(const Occupancy &occ)
+    {
+        const unsigned n = ports;
+        Matching match(n, kInvalidQueue);
+        std::vector<bool> out_matched(n, false);
+        lastIters = 0;
+        for (unsigned it = 0; it < iterations; ++it) {
+            std::vector<QueueId> grant(n, kInvalidQueue);
+            for (unsigned j = 0; j < n; ++j) {
+                if (out_matched[j])
+                    continue;
+                for (unsigned k = 0; k < n; ++k) {
+                    const unsigned i = (g[j] + k) % n;
+                    if (match[i] == kInvalidQueue && occ.at(i, j) > 0) {
+                        grant[j] = i;
+                        break;
+                    }
+                }
+            }
+            bool progress = false;
+            for (unsigned i = 0; i < n; ++i) {
+                if (match[i] != kInvalidQueue)
+                    continue;
+                for (unsigned k = 0; k < n; ++k) {
+                    const unsigned j = (a[i] + k) % n;
+                    if (grant[j] != i)
+                        continue;
+                    match[i] = j;
+                    out_matched[j] = true;
+                    progress = true;
+                    if (it == 0) {
+                        g[j] = (i + 1) % n;
+                        a[i] = (j + 1) % n;
+                    }
+                    break;
+                }
+            }
+            if (!progress)
+                break;
+            ++lastIters;
+        }
+        return match;
+    }
+};
+
+/** Request bitsets and total() agree with the counts. */
+void
+expectInStep(const Occupancy &occ)
+{
+    const unsigned n = occ.ports();
+    ASSERT_EQ(occ.words(), (n + 63) / 64);
+    std::uint64_t total = 0;
+    for (unsigned j = 0; j < n; ++j) {
+        std::vector<std::uint64_t> want(occ.words(), 0);
+        for (unsigned i = 0; i < n; ++i) {
+            total += occ.at(i, j);
+            if (occ.at(i, j) > 0)
+                want[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+        const auto req = occ.requesters(j);
+        ASSERT_EQ(std::vector<std::uint64_t>(req.begin(), req.end()),
+                  want)
+            << "output " << j;
+    }
+    EXPECT_EQ(occ.total(), total);
 }
 
 } // namespace
@@ -218,6 +301,91 @@ TEST(CrossbarScheduler, IslipLaterIterationsLeavePointersAlone)
     EXPECT_EQ(s.acceptPointers(), (std::vector<unsigned>{1, 0, 0, 0}));
 }
 
+TEST(CrossbarScheduler, BitsetIslipMatchesScalarReference)
+{
+    // The bitset scheduler and the scalar reference run side by side
+    // with their pointers carried from slot to slot.  Radixes around
+    // the 64-bit word edges exercise the cyclic search across words;
+    // the occupancy drifts a few VOQs per slot and now and then
+    // refills at a new density, from empty to full.
+    const double densities[] = {0.0, 0.01, 0.1, 0.5, 1.0};
+    for (const unsigned n : {1u, 2u, 3u, 16u, 63u, 64u, 65u, 130u}) {
+        for (const unsigned iters : {1u, 4u, n}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " iters=" + std::to_string(iters));
+            IslipScheduler fast(n, iters);
+            ScalarIslip ref{n, iters};
+            Occupancy occ(n);
+            Rng rng(sweep::deriveSeed(n, iters));
+            double density = 0.1;
+            const auto draw = [&](unsigned i, unsigned j) {
+                occ.set(i, j,
+                        rng.chance(density) ? 1 + rng.below(3) : 0);
+            };
+            for (unsigned t = 0; t < 700; ++t) {
+                if (rng.below(16) == 0) {
+                    density = densities[rng.below(5)];
+                    for (unsigned i = 0; i < n; ++i)
+                        for (unsigned j = 0; j < n; ++j)
+                            draw(i, j);
+                } else {
+                    for (unsigned k = 0; k < n; ++k)
+                        draw(static_cast<unsigned>(rng.below(n)),
+                             static_cast<unsigned>(rng.below(n)));
+                }
+                ASSERT_EQ(fast.schedule(occ), ref.schedule(occ))
+                    << "slot " << t;
+                ASSERT_EQ(fast.lastIterations(), ref.lastIters)
+                    << "slot " << t;
+                ASSERT_EQ(fast.grantPointers(), ref.g) << "slot " << t;
+                ASSERT_EQ(fast.acceptPointers(), ref.a) << "slot " << t;
+            }
+        }
+    }
+}
+
+TEST(CrossbarScheduler, SetKeepsRequestersInStepWithCounts)
+{
+    for (const unsigned n : {1u, 63u, 64u, 65u, 130u}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        Occupancy occ(n);
+        expectInStep(occ);
+        // One VOQ 0 -> k -> k' -> 0, on every word boundary input.
+        for (const unsigned i : {0u, 63u, 64u, n - 1}) {
+            if (i >= n)
+                continue;
+            const unsigned j = (i * 7) % n;
+            const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+            occ.set(i, j, 3);
+            EXPECT_TRUE(occ.requesters(j)[i / 64] & bit);
+            EXPECT_EQ(occ.total(), 3u);
+            occ.set(i, j, 5);
+            EXPECT_TRUE(occ.requesters(j)[i / 64] & bit);
+            EXPECT_EQ(occ.total(), 5u);
+            expectInStep(occ);
+            occ.set(i, j, 0);
+            EXPECT_FALSE(occ.requesters(j)[i / 64] & bit);
+            EXPECT_EQ(occ.total(), 0u);
+            expectInStep(occ);
+        }
+        // Fill every VOQ, then empty them again in a random order.
+        Rng rng(n);
+        for (unsigned i = 0; i < n; ++i)
+            for (unsigned j = 0; j < n; ++j)
+                occ.set(i, j, 1 + rng.below(4));
+        expectInStep(occ);
+        for (unsigned k = 0; k < 4 * n * n; ++k)
+            occ.set(static_cast<unsigned>(rng.below(n)),
+                    static_cast<unsigned>(rng.below(n)), 0);
+        expectInStep(occ);
+        for (unsigned i = 0; i < n; ++i)
+            for (unsigned j = 0; j < n; ++j)
+                occ.set(i, j, 0);
+        expectInStep(occ);
+        EXPECT_EQ(occ.total(), 0u);
+    }
+}
+
 TEST(CrossbarScheduler, SaveLoadReplaysEverySchedulerBitForBit)
 {
     constexpr unsigned kPorts = 5;
@@ -262,6 +430,8 @@ TEST(CrossbarPlan, ImpossibleKnobsAreFatal)
     EXPECT_THROW(planCrossbar(cfg), FatalError);
     cfg = baseConfig(4, sw::TrafficPattern::Incast);
     cfg.hotFraction = 1.0;
+    EXPECT_THROW(planCrossbar(cfg), FatalError);
+    cfg = baseConfig(fabric::kMaxPorts + 1, sw::TrafficPattern::Uniform);
     EXPECT_THROW(planCrossbar(cfg), FatalError);
 }
 
@@ -316,6 +486,22 @@ TEST(CrossbarPlan, LoadsResolveWithinAdmissibleCaps)
 
 TEST(CrossbarRun, InvariantsHoldForEverySchedulerAndPattern)
 {
+    const auto check = [](const CrossbarConfig &cfg) {
+        CrossbarRun run(cfg);
+        std::uint64_t checked = 0;
+        run.onMatch = [&](Slot, const Occupancy &occ, const Matching &m,
+                          unsigned iters) {
+            ++checked;
+            ASSERT_TRUE(matchingConflictFree(m, cfg.ports));
+            ASSERT_TRUE(matchingBacked(m, occ));
+            ASSERT_TRUE(matchingMaximal(m, occ));
+            ASSERT_GE(iters, 1u);
+        };
+        const auto out = run.finish();
+        EXPECT_TRUE(out.passed) << out.failure;
+        EXPECT_GT(checked, 0u);
+        EXPECT_EQ(out.report.activeSlots, checked);
+    };
     for (const auto kind : kAllKinds) {
         for (const auto pattern : kAllPatterns) {
             SCOPED_TRACE(toString(kind) + std::string("/")
@@ -323,22 +509,14 @@ TEST(CrossbarRun, InvariantsHoldForEverySchedulerAndPattern)
             CrossbarConfig cfg = baseConfig(4, pattern, 1500);
             cfg.scheduler = kind;
             cfg.islipIterations = 4;  // N rounds => maximal
-            CrossbarRun run(cfg);
-            std::uint64_t checked = 0;
-            run.onMatch = [&](Slot, const Occupancy &occ,
-                              const Matching &m, unsigned iters) {
-                ++checked;
-                ASSERT_TRUE(matchingConflictFree(m, cfg.ports));
-                ASSERT_TRUE(matchingBacked(m, occ));
-                ASSERT_TRUE(matchingMaximal(m, occ));
-                ASSERT_GE(iters, 1u);
-            };
-            const auto out = run.finish();
-            EXPECT_TRUE(out.passed) << out.failure;
-            EXPECT_GT(checked, 0u);
-            EXPECT_EQ(out.report.activeSlots, checked);
+            check(cfg);
         }
     }
+    // 65 ports: input and output 64 sit in a second bitset word.
+    SCOPED_TRACE("islip/uniform/65 ports");
+    CrossbarConfig cfg = baseConfig(65, sw::TrafficPattern::Uniform, 1500);
+    cfg.islipIterations = 65;
+    check(cfg);
 }
 
 TEST(CrossbarRun, OracleBoundsEverySlotAndIslipNearsMaximum)
@@ -501,6 +679,31 @@ TEST(CrossbarCheckpoint, RestoreIsBitIdenticalForEveryScheduler)
             EXPECT_EQ(outcomeJson(cfg, plain),
                       outcomeJson(cfg, stitched));
         }
+    }
+}
+
+TEST(CrossbarCheckpoint, RestoreIsBitIdenticalWhenArrivalsDrop)
+{
+    // Two renaming inputs at full load overflow and drop arrivals: a
+    // dropped arrival picks a VOQ whose credit then does not move,
+    // the case the engine's per-slot occupancy update must get
+    // right.  Restores at several slots must still reproduce the
+    // unbroken run's bytes.
+    for (const auto kind : kAllKinds) {
+        SCOPED_TRACE(toString(kind));
+        CrossbarConfig cfg =
+            baseConfig(2, sw::TrafficPattern::Uniform, 50000);
+        cfg.scheduler = kind;
+        cfg.variant = sim::BufferVariant::CfdsRenaming;
+        cfg.load = 1.0;
+        cfg.masterSeed = 1;
+        const auto plain = runCrossbar(cfg);
+        ASSERT_TRUE(plain.passed) << plain.failure;
+        EXPECT_GT(plain.report.drops, 0u);
+        const auto stitched =
+            soak::runCheckpointed<CrossbarRun>(cfg, 12007);
+        ASSERT_TRUE(stitched.passed) << stitched.failure;
+        EXPECT_EQ(outcomeJson(cfg, plain), outcomeJson(cfg, stitched));
     }
 }
 
