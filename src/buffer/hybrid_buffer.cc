@@ -249,6 +249,9 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
       group_capacity_(resolveGroupCapacity(cfg, map_.groups()))
 {
     cfg_.params.validate();
+    group_of_.resize(phys_queues_);
+    for (QueueId p = 0; p < phys_queues_; ++p)
+        group_of_[p] = map_.groupOf(p);
     fatal_if(cfg_.renaming && rads_,
              "queue renaming requires the banked CFDS organization");
     const unsigned logical = cfg_.effectiveLogicalQueues();
@@ -331,16 +334,23 @@ HybridBuffer::admitArrival(const Cell &cell)
 void
 HybridBuffer::processCompletions(Slot now)
 {
+    if (now < next_due_)
+        return;
     // Uniform timing completes in launch (FIFO) order; heterogeneous
     // bank groups can finish a fast bank's read behind a slow one,
     // so the whole (small) window is scanned, and a read taken out
     // of order leaves a hole.  The head SRAM consumes blocks in
     // replenish-sequence order per queue either way.
+    Slot next = kNoRead;
     for (std::uint64_t k = completions_.base();
          k < completions_.base() + completions_.span(); ++k) {
         const Completion *c = completions_.find(k);
-        if (!c || c->at > now)
+        if (!c)
             continue;
+        if (c->at > now) {
+            next = std::min(next, c->at);
+            continue;
+        }
         if (trace)
             *trace << "t" << now << " complete read q" << c->phys
                    << " seq " << c->replenishSeq << "\n";
@@ -348,6 +358,7 @@ HybridBuffer::processCompletions(Slot now)
         head_.insertBlock(done.phys, done.replenishSeq,
                           std::move(done.cells));
     }
+    next_due_ = next;
 }
 
 void
@@ -424,7 +435,7 @@ HybridBuffer::issueReplenish(QueueId p, Slot now)
     req.kind = dss::DramRequest::Kind::Read;
     req.physQueue = p;
     req.blockOrdinal = ord;
-    req.bank = rads_ ? 0 : map_.bankOf(p, ord);
+    req.bank = rads_ ? 0 : map_.bankIn(groupOf(p), ord);
     req.replenishSeq = replenish_seq_[p]++;
     req.issued = now;
     hmma_.onReplenishIssued(p, gran_);
@@ -458,7 +469,7 @@ HybridBuffer::bypassReplenish(QueueId p)
     const auto n = std::min<std::uint64_t>(gran_, tail_.unclaimed(p));
     panic_if(n == 0, "MMA selected queue ", p,
              " with nothing to replenish");
-    auto cells = tail_.extractBypass(p, static_cast<unsigned>(n));
+    auto cells = tail_.extractBypass(p, gran_, &spare_blocks_);
     const unsigned g = groupOf(p);
     panic_if(committed_[g] < n,
              "bypass replenish: committed accounting underflow");
@@ -497,7 +508,7 @@ HybridBuffer::tailMmaDecide(Slot now)
     req.kind = dss::DramRequest::Kind::Write;
     req.physQueue = p;
     req.blockOrdinal = next_write_issue_[p]++;
-    req.bank = rads_ ? 1 : map_.bankOf(p, req.blockOrdinal);
+    req.bank = rads_ ? 1 : map_.bankIn(groupOf(p), req.blockOrdinal);
     req.issued = now;
     if (trace)
         *trace << "t" << now << " tmma claim q" << p << " ord "
@@ -547,6 +558,7 @@ HybridBuffer::launchRead(const dss::DramRequest &req, Slot now)
     completions_.pushBack(Completion{done, req.physQueue,
                                      req.replenishSeq,
                                      std::move(cells)});
+    next_due_ = std::min(next_due_, done);
     dram_reads_.inc();
 }
 
@@ -554,7 +566,8 @@ void
 HybridBuffer::launchWrite(const dss::DramRequest &req, Slot now)
 {
     banks_.startAccess(req.bank, now);
-    auto cells = tail_.extractClaimed(req.physQueue, gran_);
+    auto cells =
+        tail_.extractClaimed(req.physQueue, gran_, &spare_blocks_);
     if (trace)
         *trace << "t" << now << " launch write q" << req.physQueue
                << " ord " << req.blockOrdinal << " bank " << req.bank
@@ -606,6 +619,8 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
         completions_.empty() && look_.occupancy() == 0 &&
         (!latency_ || latency_->occupancy() == 0) &&
         sched_->rr().empty() && tail_.eligibleCount() == 0) {
+        if (now == next_interval_)
+            next_interval_ += gran_;
         ++now_;
         return std::nullopt;
     }
@@ -634,7 +649,8 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
     const PipeEntry ready =
         latency_ ? latency_->shift(after_look) : after_look;
 
-    if (now % gran_ == 0) {
+    if (now == next_interval_) {
+        next_interval_ += gran_;
         // Launch before issue: "once a request has been chosen it is
         // removed from the RR ... making room for the new request
         // that will be issued by the MMA" (Section 5.3).  This keeps
@@ -645,22 +661,22 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
         tailMmaDecide(now);
     }
 
-    std::optional<GrantInfo> grant;
-    if (ready.phys != kInvalidQueue) {
-        if (trace)
-            *trace << "t" << now << " grant due q" << ready.phys
-                   << "\n";
-        Cell cell = head_.pop(ready.phys);
-        grants_.inc();
-        if (rt_) {
-            for (const auto rec : rt_->onGrant(ready.logical))
-                recyclePhys(rec);
-        }
-        grant = GrantInfo{cell, ready.logical};
+    // Each exit builds its result in the caller's slot: a local
+    // optional copied out costs a store-forwarding stall per slot.
+    if (ready.phys == kInvalidQueue) {
+        ++now_;
+        return std::nullopt;
     }
-
+    if (trace)
+        *trace << "t" << now << " grant due q" << ready.phys << "\n";
+    const Cell cell = head_.pop(ready.phys, &spare_blocks_);
+    grants_.inc();
+    if (rt_) {
+        for (const auto rec : rt_->onGrant(ready.logical))
+            recyclePhys(rec);
+    }
     ++now_;
-    return grant;
+    return GrantInfo{cell, ready.logical};
 }
 
 namespace
@@ -752,9 +768,11 @@ HybridBuffer::load(ser::Reader &r)
     r.tag("HBUF");
     now_ = r.u64();
     banks_.load(r);
-    dram_.load(r);
+    // The restore reuses the block vectors it replaces (see
+    // BlockSpares), so a restored buffer stays as warm as it was.
+    dram_.load(r, &spare_blocks_);
     tail_.load(r);
-    head_.load(r);
+    head_.load(r, &spare_blocks_);
     hmma_.load(r);
     mdqf_.load(r);
     tmma_.load(r);
@@ -788,7 +806,9 @@ HybridBuffer::load(ser::Reader &r)
     // An in-flight read is a header (slot, queue, seq, cell count)
     // and exactly one DRAM block of b cells: the bytes left bound
     // the count before any allocation.
-    completions_.clear();
+    completions_.drain([this](Completion &&c) {
+        giveSpare(&spare_blocks_, std::move(c.cells));
+    });
     const auto nc = r.u64();
     const std::uint64_t read_bytes =
         8 + 4 + 8 + 8 + gran_ * Cell::kSavedBytes;
@@ -805,11 +825,17 @@ HybridBuffer::load(ser::Reader &r)
                  ncell, " cells, granularity is ", gran_);
         fatal_if(c.phys >= phys_queues_, "checkpoint: in-flight read"
                  " for queue ", c.phys, " of ", phys_queues_);
+        c.cells = takeSpare(&spare_blocks_);
         c.cells.resize(gran_);
         for (auto &cell : c.cells)
             cell.load(r);
         completions_.pushBack(std::move(c));
     }
+    next_due_ = kNoRead;
+    completions_.forEach([this](std::uint64_t, const Completion &c) {
+        next_due_ = std::min(next_due_, c.at);
+    });
+    next_interval_ = (now_ + gran_ - 1) / gran_ * gran_;
     stats_.load(r);
     arrivals_.load(r);
     grants_.load(r);

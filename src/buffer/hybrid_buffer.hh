@@ -127,6 +127,8 @@ class HybridBuffer
         }
     };
 
+    static constexpr Slot kNoRead = UINT64_MAX;
+
     struct Completion
     {
         Slot at;
@@ -147,7 +149,7 @@ class HybridBuffer
     void launchWrite(const dss::DramRequest &req, Slot now);
     void recyclePhys(QueueId p);
 
-    unsigned groupOf(QueueId p) const { return map_.groupOf(p); }
+    unsigned groupOf(QueueId p) const { return group_of_[p]; }
     std::uint64_t groupFree(unsigned g) const;
     bool hasRoom(unsigned g) const;
 
@@ -175,6 +177,9 @@ class HybridBuffer
     Slot now_ = 0;
 
     dram::AddressMap map_;  // ser: config
+    /** map_.groupOf() per physical queue: a load instead of a
+     *  division on every arrival, admission check and DRAM access. */
+    std::vector<unsigned> group_of_;  // ser: config
     /** Shared with the ORR; must be built before banks_ and orr_. */
     std::shared_ptr<const dram::DramTiming> timing_;  // ser: config
     dram::BankState banks_;
@@ -203,6 +208,17 @@ class HybridBuffer
 
     /** In-flight DRAM reads, keyed by launch order. */
     KeyWindow<Completion> completions_;
+    /** Earliest `at` among completions_ (kNoRead when none):
+     *  processCompletions() has nothing to do before it.  Rebuilt
+     *  in load(). */
+    Slot next_due_ = kNoRead;  // ser: derived
+    /** First slot >= now_ that opens a granularity interval (a
+     *  multiple of b), kept so the per-slot path needs no division.
+     *  Rebuilt in load(). */
+    Slot next_interval_ = 0;  // ser: derived
+    /** Block vectors the h-SRAM has emptied, refilled by the t-SRAM
+     *  (see BlockSpares).  Pure storage: no state lives in it. */
+    BlockSpares spare_blocks_;  // ser: derived
 
     StatRegistry stats_;
     Counter arrivals_;

@@ -145,6 +145,20 @@ class KeyWindow
         }
     }
 
+    /** Hand every value to `fn` by rvalue in ascending key order,
+     *  then clear(). */
+    template <typename Fn>
+    void
+    drain(const Fn &fn)
+    {
+        for (std::uint64_t i = 0; i < span_; ++i) {
+            auto &s = slot(i);
+            if (s)
+                fn(std::move(*s));
+        }
+        clear();
+    }
+
     /** Drop every value; the capacity is kept. */
     void
     clear()
@@ -176,7 +190,7 @@ class KeyWindow
         return key - base_ >= span_ ? key - base_ + 1 : span_;
     }
 
-    std::size_t mask() const { return slots_.size() - 1; }
+    std::size_t mask() const { return mask_; }
 
     std::optional<T> &
     slot(std::uint64_t off)
@@ -200,10 +214,15 @@ class KeyWindow
         for (std::uint64_t i = 0; i < span_; ++i)
             grown[i] = std::move(slot(i));
         slots_ = std::move(grown);
+        mask_ = cap - 1;
         head_ = 0;
     }
 
     std::vector<std::optional<T>> slots_;
+    /** slots_.size() - 1, kept so that an index needs no size
+     *  computation (sizeof(std::optional<T>) is rarely a power of
+     *  two, so size() costs a multiply). */
+    std::size_t mask_ = 0;
     std::size_t head_ = 0;    //!< ring index of key base_
     std::uint64_t base_ = 0;
     std::uint64_t span_ = 0;

@@ -39,7 +39,8 @@ class ShiftRegister
         if (!(incoming == idle_))
             ++live_;
         slots_[head_] = incoming;
-        head_ = (head_ + 1) % slots_.size();
+        if (++head_ == slots_.size())
+            head_ = 0;
         return out;
     }
 

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "serialize.hh"
 
@@ -84,6 +86,37 @@ struct Cell
         arrival = r.u64();
     }
 };
+
+/**
+ * Emptied block vectors kept for reuse.  A DRAM block's cells travel
+ * t-SRAM -> DRAM -> h-SRAM in one vector; once the h-SRAM has handed
+ * out its last cell, the vector (and its capacity) goes on the list
+ * and the next t-SRAM extraction refills it, so blocks stop reaching
+ * the heap once a buffer is warm.  Each HybridBuffer owns one list.
+ */
+using BlockSpares = std::vector<std::vector<Cell>>;
+
+/** An empty block vector: one off `spares` when there is one (it
+ *  keeps its capacity), else a fresh one. */
+inline std::vector<Cell>
+takeSpare(BlockSpares *spares)
+{
+    std::vector<Cell> v;
+    if (spares && !spares->empty()) {
+        v = std::move(spares->back());
+        spares->pop_back();
+        v.clear();
+    }
+    return v;
+}
+
+/** Put a spent block vector on `spares` (no list: it is freed). */
+inline void
+giveSpare(BlockSpares *spares, std::vector<Cell> &&v)
+{
+    if (spares)
+        spares->push_back(std::move(v));
+}
 
 /** Line rates considered by the paper's evaluation (Section 7). */
 enum class LineRate

@@ -48,7 +48,14 @@ class AddressMap
     unsigned
     bankOf(QueueId p, std::uint64_t ordinal) const
     {
-        return groupOf(p) * banks_per_group_ +
+        return bankIn(groupOf(p), ordinal);
+    }
+
+    /** bankOf() for a queue whose group the caller already knows. */
+    unsigned
+    bankIn(unsigned group, std::uint64_t ordinal) const
+    {
+        return group * banks_per_group_ +
                static_cast<unsigned>(ordinal % banks_per_group_);
     }
 

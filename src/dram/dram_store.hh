@@ -149,8 +149,13 @@ class DramStore
         }
     }
 
+    /**
+     * Restore.  With `spares`, the vectors of the blocks it replaces
+     * go onto the list and the restored blocks are built from it, so
+     * a restore reuses the buffer's block storage.
+     */
     void
-    load(ser::Reader &r)
+    load(ser::Reader &r, BlockSpares *spares = nullptr)
     {
         r.tag("DRAM");
         const auto ng = r.u64();
@@ -167,7 +172,9 @@ class DramStore
         // allocated from it.
         const std::uint64_t block_bytes = 8 + 8 + gran_ * Cell::kSavedBytes;
         for (auto &qq : queues_) {
-            qq.blocks.clear();
+            qq.blocks.drain([spares](std::vector<Cell> &&cells) {
+                giveSpare(spares, std::move(cells));
+            });
             const auto nb = r.u64();
             fatal_if(nb > r.remaining() / block_bytes,
                      "checkpoint: DRAM queue claims ", nb,
@@ -178,7 +185,8 @@ class DramStore
                 fatal_if(nc != gran_, "checkpoint: DRAM block ",
                          ordinal, " holds ", nc,
                          " cells, granularity is ", gran_);
-                std::vector<Cell> cells(gran_);
+                std::vector<Cell> cells = takeSpare(spares);
+                cells.resize(gran_);
                 for (auto &c : cells)
                     c.load(r);
                 qq.blocks.restore(ordinal, std::move(cells), nb,

@@ -35,7 +35,12 @@ class RequestRegister
     explicit RequestRegister(std::size_t capacity,
                              bool in_order_per_queue = false)
         : capacity_(capacity), in_order_per_queue_(in_order_per_queue)
-    {}
+    {
+        // Size both vectors for R up front: the per-slot path then
+        // never grows them (an unbounded register still grows).
+        entries_.reserve(capacity);
+        passed_writes_.reserve(capacity);
+    }
 
     /** Insert a new request at the tail (youngest). */
     void

@@ -62,7 +62,7 @@ class TailMma
     {
         const QueueId p = next_eligible(next_);
         if (p != kInvalidQueue)
-            next_ = (p + 1) % queues_;
+            next_ = p + 1 == queues_ ? 0 : p + 1;
         return p;
     }
 

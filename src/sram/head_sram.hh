@@ -74,10 +74,11 @@ class HeadSram
 
     /**
      * Pop the next in-order cell of queue p.  Panics (a *miss*) if
-     * the block holding it has not been refilled yet.
+     * the block holding it has not been refilled yet.  The vector of
+     * a block whose last cell this pops goes onto `spares`.
      */
     Cell
-    pop(QueueId p)
+    pop(QueueId p, BlockSpares *spares = nullptr)
     {
         auto &qq = q(p);
         Block *blk = qq.blocks.find(qq.next_consume_seq);
@@ -85,11 +86,9 @@ class HeadSram
                  "MISS: queue ", p, " has no cells for replenish seq ",
                  qq.next_consume_seq,
                  " in h-SRAM at grant time");
-        Cell c = blk->cells[blk->consumed++];
-        if (blk->consumed == blk->cells.size()) {
-            qq.blocks.take(qq.next_consume_seq);
-            ++qq.next_consume_seq;
-        }
+        const Cell c = blk->cells[blk->consumed++];
+        if (blk->consumed == blk->cells.size())
+            retire(qq, spares);
         panic_if(occupancy_ == 0, "h-SRAM occupancy accounting bug");
         --occupancy_;
         return c;
@@ -150,8 +149,9 @@ class HeadSram
         high_water_.save(w);
     }
 
+    /** Restore; `spares` as in DramStore::load(). */
     void
-    load(ser::Reader &r)
+    load(ser::Reader &r, BlockSpares *spares = nullptr)
     {
         r.tag("HSRM");
         const auto n = r.u64();
@@ -164,7 +164,9 @@ class HeadSram
             8 + 8 + 8 + Cell::kSavedBytes;
         for (auto &qq : queues_) {
             qq.next_consume_seq = r.u64();
-            qq.blocks.clear();
+            qq.blocks.drain([spares](Block &&blk) {
+                giveSpare(spares, std::move(blk.cells));
+            });
             const auto nb = r.u64();
             fatal_if(nb > r.remaining() / min_block_bytes,
                      "checkpoint: h-SRAM queue claims ", nb,
@@ -175,7 +177,7 @@ class HeadSram
                          "checkpoint: h-SRAM block seq ", seq,
                          " precedes the next consumed seq ",
                          qq.next_consume_seq);
-                Block blk;
+                Block blk{takeSpare(spares), 0};
                 blk.consumed = r.u64();
                 const auto nc = r.u64();
                 fatal_if(nc == 0 || nc > gran_,
@@ -184,6 +186,9 @@ class HeadSram
                 fatal_if(blk.consumed >= nc,
                          "checkpoint: h-SRAM block seq ", seq,
                          " consumed ", blk.consumed, " of ", nc, " cells");
+                // A partial block's vector still holds b cells when
+                // it is reused for a full one.
+                blk.cells.reserve(gran_);
                 blk.cells.resize(nc);
                 for (auto &c : blk.cells)
                     c.load(r);
@@ -208,6 +213,15 @@ class HeadSram
         KeyWindow<Block> blocks;
         std::uint64_t next_consume_seq = 0;
     };
+
+    /** Drop qq's fully consumed oldest block.  Kept out of pop() so
+     *  that pop() stays small enough to inline into the grant path. */
+    void
+    retire(QueueState &qq, BlockSpares *spares)
+    {
+        giveSpare(spares, qq.blocks.take(qq.next_consume_seq).cells);
+        ++qq.next_consume_seq;
+    }
 
     const QueueState &
     q(QueueId p) const

@@ -6,6 +6,10 @@
  * DSA to launch the write), and the head path may *bypass* unclaimed
  * cells directly into the h-SRAM when the queue has nothing resident
  * in DRAM.
+ *
+ * Each queue's cells sit in a flat power-of-two ring that grows by
+ * doubling and keeps its capacity, so a queue stops allocating once it
+ * reaches its working depth and an empty queue owns no storage.
  */
 
 #ifndef PKTBUF_SRAM_TAIL_SRAM_HH
@@ -14,7 +18,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/logging.hh"
@@ -68,7 +71,8 @@ class TailSram
             if (word)
                 return static_cast<QueueId>(
                     w * 64 + std::countr_zero(word));
-            w = (w + 1) % elig_.size();
+            if (++w == elig_.size())
+                w = 0;
             word = elig_[w];
         }
         return kInvalidQueue;  // unreachable while eligible_ > 0
@@ -78,8 +82,7 @@ class TailSram
     void
     push(QueueId p, const Cell &cell)
     {
-        auto &qq = q(p);
-        qq.cells.push_back(cell);
+        q(p).push(cell);
         ++occupancy_;
         high_water_.observe(static_cast<std::int64_t>(occupancy_));
         panic_if(capacity_ && occupancy_ > capacity_,
@@ -93,14 +96,14 @@ class TailSram
     unclaimed(QueueId p) const
     {
         const auto &qq = q(p);
-        return qq.cells.size() - qq.claimed;
+        return qq.size - qq.claimed;
     }
 
     /** Total cells of p still in the t-SRAM (claimed or not). */
     std::uint64_t
     cellsOf(QueueId p) const
     {
-        return q(p).cells.size();
+        return q(p).size;
     }
 
     /**
@@ -129,13 +132,17 @@ class TailSram
         refreshEligible(p);
     }
 
-    /** Remove the oldest `gran` (claimed) cells: the write launches. */
+    /**
+     * Remove the oldest `gran` (claimed) cells: the write launches.
+     * The block's vector comes off `spares` when one is there.
+     */
     std::vector<Cell>
-    extractClaimed(QueueId p, unsigned gran)
+    extractClaimed(QueueId p, unsigned gran,
+                   BlockSpares *spares = nullptr)
     {
         auto &qq = q(p);
         panic_if(qq.claimed < gran, "extracting unclaimed cells");
-        std::vector<Cell> out = take(qq, gran);
+        std::vector<Cell> out = take(qq, gran, gran, spares);
         qq.claimed -= gran;
         refreshEligible(p);
         return out;
@@ -144,18 +151,20 @@ class TailSram
     /**
      * Bypass up to `max_cells` *unclaimed* oldest cells straight to
      * the head path.  Only legal when the queue has no cells in DRAM
-     * and no claimed cells ahead (the caller enforces order).
+     * and no claimed cells ahead (the caller enforces order).  The
+     * vector comes off `spares` like extractClaimed()'s.
      */
     std::vector<Cell>
-    extractBypass(QueueId p, unsigned max_cells)
+    extractBypass(QueueId p, unsigned max_cells,
+                  BlockSpares *spares = nullptr)
     {
         auto &qq = q(p);
         panic_if(qq.claimed != 0,
                  "bypass with ", qq.claimed,
                  " claimed cells ahead on queue ", p);
-        const auto n = std::min<std::uint64_t>(max_cells,
-                                               qq.cells.size());
-        std::vector<Cell> out = take(qq, static_cast<unsigned>(n));
+        const auto n = std::min<std::uint64_t>(max_cells, qq.size);
+        std::vector<Cell> out =
+            take(qq, static_cast<unsigned>(n), max_cells, spares);
         refreshEligible(p);
         return out;
     }
@@ -169,7 +178,7 @@ class TailSram
     recycle(QueueId p)
     {
         auto &qq = q(p);
-        panic_if(!qq.cells.empty() || qq.claimed != 0,
+        panic_if(qq.size != 0 || qq.claimed != 0,
                  "recycling non-empty tail queue ", p);
     }
 
@@ -181,9 +190,9 @@ class TailSram
         w.u64(queues_.size());
         for (const auto &qq : queues_) {
             w.u64(qq.claimed);
-            w.u64(qq.cells.size());
-            for (const auto &c : qq.cells)
-                c.save(w);
+            w.u64(qq.size);
+            for (std::size_t i = 0; i < qq.size; ++i)
+                qq.at(i).save(w);
         }
         w.u64(occupancy_);
         high_water_.save(w);
@@ -198,12 +207,13 @@ class TailSram
                  " queues, configured ", queues_.size());
         for (auto &qq : queues_) {
             qq.claimed = r.u64();
-            qq.cells.clear();
+            qq.head = 0;
+            qq.size = 0;
             const auto nc = r.u64();
             for (std::uint64_t i = 0; i < nc; ++i) {
                 Cell c;
                 c.load(r);
-                qq.cells.push_back(c);
+                qq.push(c);
             }
         }
         occupancy_ = r.u64();
@@ -214,10 +224,43 @@ class TailSram
     }
 
   private:
+    /** One queue: its cells oldest first in a ring, and the claims. */
     struct QueueState
     {
-        std::deque<Cell> cells;
+        std::vector<Cell> ring;  //!< power-of-two size, or empty
+        std::size_t head = 0;    //!< ring index of the oldest cell
+        std::size_t size = 0;
         std::uint64_t claimed = 0;
+
+        const Cell &
+        at(std::size_t i) const
+        {
+            return ring[(head + i) & (ring.size() - 1)];
+        }
+
+        void
+        push(const Cell &cell)
+        {
+            if (size == ring.size()) {
+                // Double, unwrapping the live cells to the front.
+                std::vector<Cell> grown(ring.empty() ? 8 : 2 * ring.size());
+                for (std::size_t i = 0; i < size; ++i)
+                    grown[i] = at(i);
+                ring = std::move(grown);
+                head = 0;
+            }
+            ring[(head + size) & (ring.size() - 1)] = cell;
+            ++size;
+        }
+
+        Cell
+        popFront()
+        {
+            const Cell c = ring[head];
+            head = (head + 1) & (ring.size() - 1);
+            --size;
+            return c;
+        }
     };
 
     /** Re-derive p's bit in the eligibility bitmap (O(1)). */
@@ -238,16 +281,16 @@ class TailSram
             --eligible_;
     }
 
+    /** Move the oldest n cells into a block vector (a spare when
+     *  one is there) with room for `room` cells. */
     std::vector<Cell>
-    take(QueueState &qq, unsigned n)
+    take(QueueState &qq, unsigned n, unsigned room, BlockSpares *spares)
     {
-        std::vector<Cell> out;
-        out.reserve(n);
-        for (unsigned i = 0; i < n; ++i) {
-            panic_if(qq.cells.empty(), "t-SRAM underflow");
-            out.push_back(qq.cells.front());
-            qq.cells.pop_front();
-        }
+        std::vector<Cell> out = takeSpare(spares);
+        out.reserve(room);
+        panic_if(qq.size < n, "t-SRAM underflow");
+        for (unsigned i = 0; i < n; ++i)
+            out.push_back(qq.popFront());
         panic_if(occupancy_ < n, "t-SRAM occupancy accounting bug");
         occupancy_ -= n;
         return out;

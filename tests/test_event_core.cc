@@ -180,25 +180,28 @@ TEST(EventCoreOracle, CrossEngineRestore)
         SCOPED_TRACE(s.describe());
         const auto plain = sim::runScenario(s);
         const auto expect = recordBytes(s, plain);
-
-        soak::ScenarioRun ref(s);
-        ref.runTo(s.slots / 2);
-        const auto ref_bytes = ref.checkpoint();
         const sim::Scenario evt_leg = eventTwin(s);
-        soak::ScenarioRun evt(evt_leg);
-        evt.restore(ref_bytes);
-        const auto via_event = evt.finish();
-        EXPECT_EQ(via_event.passed, plain.passed)
-            << via_event.failure;
-        EXPECT_EQ(recordBytes(evt_leg, via_event), expect);
+        // The odd cursors sit off the b and B interval grid.
+        const std::uint64_t half = s.slots / 2;
+        for (const std::uint64_t at : {half, half + 1, half + 3}) {
+            SCOPED_TRACE("restore at slot " + std::to_string(at));
+            soak::ScenarioRun ref(s);
+            ref.runTo(at);
+            soak::ScenarioRun evt(evt_leg);
+            evt.restore(ref.checkpoint());
+            const auto via_event = evt.finish();
+            EXPECT_EQ(via_event.passed, plain.passed)
+                << via_event.failure;
+            EXPECT_EQ(recordBytes(evt_leg, via_event), expect);
 
-        soak::ScenarioRun evt2(evt_leg);
-        evt2.runTo(s.slots / 2);
-        soak::ScenarioRun ref2(s);
-        ref2.restore(evt2.checkpoint());
-        const auto via_ref = ref2.finish();
-        EXPECT_EQ(via_ref.passed, plain.passed) << via_ref.failure;
-        EXPECT_EQ(recordBytes(s, via_ref), expect);
+            soak::ScenarioRun evt2(evt_leg);
+            evt2.runTo(at);
+            soak::ScenarioRun ref2(s);
+            ref2.restore(evt2.checkpoint());
+            const auto via_ref = ref2.finish();
+            EXPECT_EQ(via_ref.passed, plain.passed) << via_ref.failure;
+            EXPECT_EQ(recordBytes(s, via_ref), expect);
+        }
     }
 }
 

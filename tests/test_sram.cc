@@ -317,3 +317,96 @@ TEST(TailSram, RecycleRequiresDrained)
     t.extractBypass(0, 1);
     EXPECT_NO_THROW(t.recycle(0));
 }
+
+namespace
+{
+
+std::vector<SeqNum>
+seqsOf(const std::vector<Cell> &cells)
+{
+    std::vector<SeqNum> out;
+    for (const auto &c : cells)
+        out.push_back(c.seq);
+    return out;
+}
+
+/** Push cells `from`..`to - 1` of queue 0. */
+void
+pushRange(TailSram &t, SeqNum from, SeqNum to)
+{
+    for (SeqNum s = from; s < to; ++s)
+        t.push(0, Cell{0, s, 0});
+}
+
+using Seqs = std::vector<SeqNum>;
+
+} // namespace
+
+// A queue's first ring holds 8 cells.  Six pushes and a 4-cell
+// extraction move its head to index 4, so the next pushes wrap.
+
+TEST(TailSram, ClaimAndExtractAcrossTheWrapEdge)
+{
+    TailSram t(1, 0);
+    pushRange(t, 0, 6);
+    EXPECT_EQ(seqsOf(t.extractBypass(0, 4)), (Seqs{0, 1, 2, 3}));
+    pushRange(t, 6, 10);  // cells 4..9 at ring indices 4..7, 0, 1
+    t.claim(0, 4);        // 4..7, up to the edge
+    t.unclaim(0, 2);
+    EXPECT_EQ(t.unclaimed(0), 4u);
+    EXPECT_EQ(seqsOf(t.extractClaimed(0, 2)), (Seqs{4, 5}));
+    t.claim(0, 2);  // 6, 7
+    t.unclaim(0, 2);
+    EXPECT_EQ(seqsOf(t.extractBypass(0, 3)), (Seqs{6, 7, 8}));
+    t.claim(0, 1);  // 9, past the edge
+    EXPECT_EQ(seqsOf(t.extractClaimed(0, 1)), (Seqs{9}));
+    EXPECT_EQ(t.cellsOf(0), 0u);
+    EXPECT_EQ(t.occupancy(), 0u);
+}
+
+TEST(TailSram, RingGrowsWhileWrapped)
+{
+    TailSram t(1, 0);
+    pushRange(t, 0, 6);
+    EXPECT_EQ(seqsOf(t.extractBypass(0, 4)), (Seqs{0, 1, 2, 3}));
+    pushRange(t, 6, 12);  // full: cells 4..11, head at index 4
+    t.claim(0, 6);        // 4..9, across the edge
+    pushRange(t, 12, 30); // grows to 16, then to 32
+    EXPECT_EQ(t.cellsOf(0), 26u);
+    EXPECT_EQ(t.unclaimed(0), 20u);
+    EXPECT_EQ(seqsOf(t.extractClaimed(0, 6)), (Seqs{4, 5, 6, 7, 8, 9}));
+    Seqs rest;
+    for (SeqNum s = 10; s < 30; ++s)
+        rest.push_back(s);
+    EXPECT_EQ(seqsOf(t.extractBypass(0, 32)), rest);
+    EXPECT_EQ(t.highWater(), 26);
+}
+
+TEST(TailSram, WrappedRingSaveLoadSaveByteIdentical)
+{
+    TailSram t(2, 0);
+    t.setThreshold(2);
+    pushRange(t, 0, 6);
+    t.extractBypass(0, 4);
+    pushRange(t, 6, 10);  // cells 4..9, wrapped
+    t.claim(0, 2);
+    t.push(1, Cell{1, 0, 0});
+    ser::Writer w1;
+    t.save(w1);
+
+    TailSram u(2, 0);
+    u.setThreshold(2);
+    ser::Reader r(w1.bytes());
+    u.load(r);
+    ser::Writer w2;
+    u.save(w2);
+    EXPECT_EQ(w1.bytes(), w2.bytes());
+    EXPECT_EQ(u.eligibleCount(), 1u);  // queue 0: 4 unclaimed
+
+    // The restored ring serves the same FIFO order as the original.
+    for (TailSram *s : {&t, &u}) {
+        EXPECT_EQ(seqsOf(s->extractClaimed(0, 2)), (Seqs{4, 5}));
+        EXPECT_EQ(seqsOf(s->extractBypass(0, 8)), (Seqs{6, 7, 8, 9}));
+        EXPECT_EQ(seqsOf(s->extractBypass(1, 8)), (Seqs{0}));
+    }
+}
