@@ -679,169 +679,90 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
     return GrantInfo{cell, ready.logical};
 }
 
-namespace
-{
-
 void
-saveU64Vec(ser::Writer &w, const std::vector<std::uint64_t> &v)
+HybridBuffer::fields(ser::Io &io)
 {
-    w.u64(v.size());
-    for (const auto x : v)
-        w.u64(x);
-}
-
-void
-loadU64Vec(ser::Reader &r, std::vector<std::uint64_t> &v,
-           const char *what)
-{
-    const auto n = r.u64();
-    fatal_if(n != v.size(), "checkpoint: ", what, " has ", n,
-             " entries, configured ", v.size());
-    for (auto &x : v)
-        x = r.u64();
-}
-
-void
-savePipeEntry(ser::Writer &w, QueueId phys, QueueId logical)
-{
-    w.u32(phys);
-    w.u32(logical);
-}
-
-} // namespace
-
-void
-HybridBuffer::save(ser::Writer &w) const
-{
-    const auto save_pipe = [](ser::Writer &ww, const PipeEntry &e) {
-        savePipeEntry(ww, e.phys, e.logical);
-    };
-    w.tag("HBUF");
-    w.u64(now_);
-    banks_.save(w);
-    dram_.save(w);
-    tail_.save(w);
-    head_.save(w);
-    hmma_.save(w);
-    mdqf_.save(w);
-    tmma_.save(w);
-    look_.save(w, save_pipe);
-    w.b(latency_ != nullptr);
-    if (latency_)
-        latency_->save(w, save_pipe);
-    orr_.save(w);
-    sched_->save(w);
-    w.b(rt_ != nullptr);
-    if (rt_)
-        rt_->save(w);
-    saveU64Vec(w, next_read_issue_);
-    saveU64Vec(w, next_write_issue_);
-    saveU64Vec(w, replenish_seq_);
-    saveU64Vec(w, pending_unlaunched_writes_);
-    saveU64Vec(w, committed_);
-    w.u64(completions_.size());
-    completions_.forEach([&](std::uint64_t, const Completion &c) {
-        w.u64(c.at);
-        w.u32(c.phys);
-        w.u64(c.replenishSeq);
-        w.u64(c.cells.size());
-        for (const auto &cell : c.cells)
-            cell.save(w);
-    });
-    stats_.save(w);
-    arrivals_.save(w);
-    grants_.save(w);
-    bypass_cells_.save(w);
-    dram_reads_.save(w);
-    dram_writes_.save(w);
-}
-
-void
-HybridBuffer::load(ser::Reader &r)
-{
-    const auto load_pipe = [](ser::Reader &rr) {
-        PipeEntry e;
-        e.phys = rr.u32();
-        e.logical = rr.u32();
-        return e;
-    };
-    r.tag("HBUF");
-    now_ = r.u64();
-    banks_.load(r);
-    // The restore reuses the block vectors it replaces (see
+    io.tag("HBUF");
+    io.u64(now_);
+    banks_.fields(io);
+    // A restore reuses the block vectors it replaces (see
     // BlockSpares), so a restored buffer stays as warm as it was.
-    dram_.load(r, &spare_blocks_);
-    tail_.load(r);
-    head_.load(r, &spare_blocks_);
-    hmma_.load(r);
-    mdqf_.load(r);
-    tmma_.load(r);
-    look_.load(r, load_pipe);
-    // Rebuild the ECQF event calendar from the restored lookahead
-    // contents: stamps restart from zero, but only their relative
-    // order matters and head-to-tail replay reproduces it exactly.
-    hmma_.resetCalendar();
-    look_.forEachFromHead([this](const PipeEntry &e) {
-        if (e.phys != kInvalidQueue)
-            hmma_.onRequestEntering(e.phys);
-    });
-    const bool has_latency = r.b();
+    dram_.fields(io, &spare_blocks_);
+    tail_.fields(io);
+    head_.fields(io, &spare_blocks_);
+    hmma_.fields(io);
+    mdqf_.fields(io);
+    tmma_.fields(io);
+    look_.fields(io);
+    if (io.reading()) {
+        // Rebuild the ECQF event calendar from the restored lookahead
+        // contents: stamps restart from zero, but only their relative
+        // order matters and head-to-tail replay reproduces it exactly.
+        hmma_.resetCalendar();
+        look_.forEachFromHead([this](const PipeEntry &e) {
+            if (e.phys != kInvalidQueue)
+                hmma_.onRequestEntering(e.phys);
+        });
+    }
+    bool has_latency = latency_ != nullptr;
+    io.b(has_latency);
     fatal_if(has_latency != (latency_ != nullptr),
              "checkpoint: latency register presence mismatch");
     if (latency_)
-        latency_->load(r, load_pipe);
-    orr_.load(r);
-    sched_->load(r);
-    const bool has_rt = r.b();
+        latency_->fields(io);
+    orr_.fields(io);
+    sched_->fields(io);
+    bool has_rt = rt_ != nullptr;
+    io.b(has_rt);
     fatal_if(has_rt != (rt_ != nullptr),
              "checkpoint: renaming table presence mismatch");
     if (rt_)
-        rt_->load(r);
-    loadU64Vec(r, next_read_issue_, "next_read_issue");
-    loadU64Vec(r, next_write_issue_, "next_write_issue");
-    loadU64Vec(r, replenish_seq_, "replenish_seq");
-    loadU64Vec(r, pending_unlaunched_writes_,
-               "pending_unlaunched_writes");
-    loadU64Vec(r, committed_, "committed");
+        rt_->fields(io);
+    for (auto *v : {&next_read_issue_, &next_write_issue_, &replenish_seq_,
+                    &pending_unlaunched_writes_, &committed_}) {
+        io.fixedCount(v->size(), "per-queue buffer counters");
+        for (auto &x : *v)
+            io.u64(x);
+    }
     // An in-flight read is a header (slot, queue, seq, cell count)
     // and exactly one DRAM block of b cells: the bytes left bound
     // the count before any allocation.
-    completions_.drain([this](Completion &&c) {
-        giveSpare(&spare_blocks_, std::move(c.cells));
-    });
-    const auto nc = r.u64();
-    const std::uint64_t read_bytes =
-        8 + 4 + 8 + 8 + gran_ * Cell::kSavedBytes;
-    fatal_if(nc > r.remaining() / read_bytes,
-             "checkpoint: buffer claims ", nc, " in-flight reads with ",
-             r.remaining(), " bytes left");
-    for (std::uint64_t i = 0; i < nc; ++i) {
-        Completion c;
-        c.at = r.u64();
-        c.phys = r.u32();
-        c.replenishSeq = r.u64();
-        const auto ncell = r.u64();
-        fatal_if(ncell != gran_, "checkpoint: in-flight read of ",
-                 ncell, " cells, granularity is ", gran_);
-        fatal_if(c.phys >= phys_queues_, "checkpoint: in-flight read"
-                 " for queue ", c.phys, " of ", phys_queues_);
-        c.cells = takeSpare(&spare_blocks_);
-        c.cells.resize(gran_);
-        for (auto &cell : c.cells)
-            cell.load(r);
-        completions_.pushBack(std::move(c));
+    if (io.reading())
+        completions_.drain([this](Completion &&c) {
+            giveSpare(&spare_blocks_, std::move(c.cells));
+        });
+    const auto nc =
+        io.count(completions_.size(),
+                 8 + 4 + 8 + 8 + gran_ * Cell::kSavedBytes,
+                 "in-flight reads");
+    completions_.fields(
+        io, nc, "in-flight read", [&](std::uint64_t &, Completion &c) {
+            io.u64(c.at);
+            io.u32(c.phys);
+            io.u64(c.replenishSeq);
+            io.fixedCount(gran_, "cells in an in-flight read");
+            if (io.reading()) {
+                fatal_if(c.phys >= phys_queues_, "checkpoint: in-flight"
+                         " read for queue ", c.phys, " of ", phys_queues_);
+                c.cells = takeSpare(&spare_blocks_);
+                c.cells.resize(gran_);
+            }
+            for (auto &cell : c.cells)
+                cell.fields(io);
+        });
+    if (io.reading()) {
+        next_due_ = kNoRead;
+        completions_.forEach([this](std::uint64_t, const Completion &c) {
+            next_due_ = std::min(next_due_, c.at);
+        });
+        next_interval_ = (now_ + gran_ - 1) / gran_ * gran_;
     }
-    next_due_ = kNoRead;
-    completions_.forEach([this](std::uint64_t, const Completion &c) {
-        next_due_ = std::min(next_due_, c.at);
-    });
-    next_interval_ = (now_ + gran_ - 1) / gran_ * gran_;
-    stats_.load(r);
-    arrivals_.load(r);
-    grants_.load(r);
-    bypass_cells_.load(r);
-    dram_reads_.load(r);
-    dram_writes_.load(r);
+    stats_.fields(io);
+    arrivals_.fields(io);
+    grants_.fields(io);
+    bypass_cells_.fields(io);
+    dram_reads_.fields(io);
+    dram_writes_.fields(io);
 }
 
 BufferReport

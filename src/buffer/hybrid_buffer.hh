@@ -106,12 +106,14 @@ class HybridBuffer
      * Checkpoint the full mutable state (clock, SRAM/DRAM contents,
      * MMA counters, pipeline registers, DSS, renaming, statistics).
      * Configuration is not serialized: restore requires a buffer
-     * constructed from the *same* BufferConfig, and load() validates
-     * the structural dimensions it can see.  Restoring a saved state
-     * and stepping to slot N is bit-identical to an unbroken run.
+     * constructed from the *same* BufferConfig, and a restore
+     * validates the structural dimensions it can see.  Restoring a
+     * saved state and stepping to slot N is bit-identical to an
+     * unbroken run.
      */
-    void save(ser::Writer &w) const;
-    void load(ser::Reader &r);
+    void fields(ser::Io &io);
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     /** What travels through the lookahead and latency registers. */
@@ -124,6 +126,13 @@ class HybridBuffer
         operator==(const PipeEntry &o) const
         {
             return phys == o.phys && logical == o.logical;
+        }
+
+        void
+        fields(ser::Io &io)
+        {
+            io.u32(phys);
+            io.u32(logical);
         }
     };
 
@@ -210,11 +219,11 @@ class HybridBuffer
     KeyWindow<Completion> completions_;
     /** Earliest `at` among completions_ (kNoRead when none):
      *  processCompletions() has nothing to do before it.  Rebuilt
-     *  in load(). */
+     *  on restore. */
     Slot next_due_ = kNoRead;  // ser: derived
     /** First slot >= now_ that opens a granularity interval (a
      *  multiple of b), kept so the per-slot path needs no division.
-     *  Rebuilt in load(). */
+     *  Rebuilt on restore. */
     Slot next_interval_ = 0;  // ser: derived
     /** Block vectors the h-SRAM has emptied, refilled by the t-SRAM
      *  (see BlockSpares).  Pure storage: no state lives in it. */

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "logging.hh"
+#include "serialize.hh"
 
 namespace pktbuf
 {
@@ -106,6 +107,35 @@ class KeyWindow
                  what, " key ", key, " leaves more than ",
                  kRestoreHoles, " holes among ", count, " keys");
         return insert(key, std::move(value));
+    }
+
+    /**
+     * Checkpoint the `n` values (the owner's io.count() of size()) in
+     * ascending key order; `elem(key, value)` lists one entry.  A
+     * restore needs an empty window.  It reads each entry into a
+     * value-initialized T, with the entry's index as its key -- an
+     * owner that saves keys lists the key, which overwrites it --
+     * and files it through restore().
+     */
+    template <typename Elem>
+    void
+    fields(ser::Io &io, std::uint64_t n, const char *what,
+           const Elem &elem)
+    {
+        if (!io.reading()) {
+            for (std::uint64_t i = 0; i < span_; ++i) {
+                std::uint64_t key = base_ + i;
+                if (auto &s = slot(i))
+                    elem(key, *s);
+            }
+            return;
+        }
+        for (std::uint64_t i = 0; i < n; ++i) {
+            std::uint64_t key = i;
+            T value{};
+            elem(key, value);
+            restore(key, std::move(value), n, what);
+        }
     }
 
     /** Insert after the highest key (a FIFO push). */
@@ -218,15 +248,17 @@ class KeyWindow
         head_ = 0;
     }
 
-    std::vector<std::optional<T>> slots_;
+    // The entries fields() lists are the window's state; restore()
+    // rebuilds this ring layout from them.
+    std::vector<std::optional<T>> slots_;  // ser: derived
     /** slots_.size() - 1, kept so that an index needs no size
      *  computation (sizeof(std::optional<T>) is rarely a power of
      *  two, so size() costs a multiply). */
-    std::size_t mask_ = 0;
-    std::size_t head_ = 0;    //!< ring index of key base_
-    std::uint64_t base_ = 0;
-    std::uint64_t span_ = 0;
-    std::size_t count_ = 0;
+    std::size_t mask_ = 0;  // ser: derived
+    std::size_t head_ = 0;  //!< ring index of key base_ [ser: derived]
+    std::uint64_t base_ = 0;  // ser: derived
+    std::uint64_t span_ = 0;  // ser: derived
+    std::size_t count_ = 0;  // ser: derived
 };
 
 } // namespace pktbuf

@@ -89,18 +89,14 @@ class Rng
 
     /** Checkpoint: the four raw state words. */
     void
-    save(ser::Writer &w) const
-    {
-        for (const auto word : state_)
-            w.u64(word);
-    }
-
-    void
-    load(ser::Reader &r)
+    fields(ser::Io &io)
     {
         for (auto &word : state_)
-            word = r.u64();
+            io.u64(word);
     }
+
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     static std::uint64_t

@@ -16,6 +16,13 @@
  * *input* (truncated file, version skew, bit rot), not a simulator
  * bug, and callers are expected to catch FatalError and reject the
  * checkpoint.
+ *
+ * Checkpointed classes list their persisted members once, in a
+ * `void fields(Io &)` that an Io runs either way: over a Writer it
+ * writes each listed member, over a Reader it assigns each one.  The
+ * byte order is the listing order, so save and restore cannot drift
+ * apart.  Load-side validation and rebuilds of derived state sit in
+ * the same function behind io.reading().
  */
 
 #ifndef PKTBUF_COMMON_SERIALIZE_HH
@@ -228,6 +235,109 @@ class Reader
     std::string_view buf_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * One field list, run in either direction: over a Writer each call
+ * writes its argument, over a Reader it assigns it.  Members are
+ * passed by reference in both modes; writing leaves them unchanged.
+ */
+class Io
+{
+  public:
+    explicit Io(Writer &w) : w_(&w) {}
+    explicit Io(Reader &r) : r_(&r) {}
+
+    /** Restoring: load-side checks and rebuilds run only then. */
+    bool reading() const { return r_ != nullptr; }
+
+    void u8(std::uint8_t &v) { field(v, &Reader::u8, &Writer::u8); }
+    void u32(std::uint32_t &v) { field(v, &Reader::u32, &Writer::u32); }
+    void u64(std::uint64_t &v) { field(v, &Reader::u64, &Writer::u64); }
+    void i64(std::int64_t &v) { field(v, &Reader::i64, &Writer::i64); }
+    void b(bool &v) { field(v, &Reader::b, &Writer::b); }
+    void real(double &v) { field(v, &Reader::real, &Writer::real); }
+
+    void
+    str(std::string &s)
+    {
+        if (r_)
+            s = r_->str();
+        else
+            w_->str(s);
+    }
+
+    void
+    tag(const char (&name)[5])
+    {
+        if (r_)
+            r_->tag(name);
+        else
+            w_->tag(name);
+    }
+
+    /**
+     * A count that must equal a configured size (queues, banks,
+     * groups): written as `configured`; a checkpoint holding another
+     * value is a FatalError naming `what`.
+     */
+    void
+    fixedCount(std::uint64_t configured, const char *what)
+    {
+        std::uint64_t n = configured;
+        u64(n);
+        fatal_if(n != configured, "checkpoint: ", n, " ", what,
+                 ", configured ", configured);
+    }
+
+    /**
+     * The length of a variable list whose entries take at least
+     * `item_bytes` each: written as `n`.  Restoring returns the saved
+     * length, after checking that the bytes left can hold that many
+     * entries, so no allocation is ever sized from a corrupt u64.
+     */
+    std::uint64_t
+    count(std::uint64_t n, std::uint64_t item_bytes, const char *what)
+    {
+        u64(n);
+        fatal_if(r_ && n > r_->remaining() / item_bytes,
+                 "checkpoint: ", n, " ", what, " claimed with ",
+                 r_->remaining(), " bytes left");
+        return n;
+    }
+
+  private:
+    template <typename T>
+    void
+    field(T &v, T (Reader::*get)(), void (Writer::*put)(T))
+    {
+        if (r_)
+            v = (r_->*get)();
+        else
+            (w_->*put)(v);
+    }
+
+    Writer *w_ = nullptr;
+    Reader *r_ = nullptr;
+};
+
+/** save() of a class with fields(Io &): writing through the field
+ *  list leaves the object unchanged, so the const may go. */
+template <typename T>
+void
+save(Writer &w, const T &obj)
+{
+    Io io(w);
+    const_cast<T &>(obj).fields(io);
+}
+
+/** load() of a class with fields(Io &). */
+template <typename T>
+void
+load(Reader &r, T &obj)
+{
+    Io io(r);
+    obj.fields(io);
+}
 
 } // namespace pktbuf::ser
 

@@ -10,6 +10,7 @@
 #define PKTBUF_COMMON_SHIFT_REGISTER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "logging.hh"
@@ -90,9 +91,8 @@ class ShiftRegister
     }
 
     /**
-     * Checkpoint: depth, head cursor and every stage, each written
-     * by the caller-supplied element serializer (the register is
-     * element-type-agnostic; the owner knows the wire format).
+     * Checkpoint: depth, head cursor and every stage, each through
+     * the element's own fields(ser::Io &).
      *
      * Rotation-normalized: stages are written head-first with a
      * zero cursor, so two registers holding the same logical
@@ -103,35 +103,23 @@ class ShiftRegister
      * rotation-invariant, so loading the normalized form is
      * indistinguishable from the original.
      */
-    template <typename SaveElem>
     void
-    save(ser::Writer &w, SaveElem &&save_elem) const
+    fields(ser::Io &io)
     {
-        w.u64(slots_.size());
-        w.u64(0);
-        for (std::size_t i = head_; i < slots_.size(); ++i)
-            save_elem(w, slots_[i]);
-        for (std::size_t i = 0; i < head_; ++i)
-            save_elem(w, slots_[i]);
-    }
-
-    template <typename LoadElem>
-    void
-    load(ser::Reader &r, LoadElem &&load_elem)
-    {
-        const auto depth = r.u64();
-        fatal_if(depth != slots_.size(),
-                 "checkpoint: shift register depth ", depth,
-                 " != configured ", slots_.size());
-        const auto head = r.u64();
-        fatal_if(head >= slots_.size(),
-                 "checkpoint: shift register head out of range");
-        head_ = static_cast<std::size_t>(head);
-        live_ = 0;
-        for (auto &v : slots_) {
-            v = load_elem(r);
-            if (!(v == idle_))
-                ++live_;
+        io.fixedCount(slots_.size(), "shift register stages");
+        std::uint64_t head = 0;
+        io.u64(head);
+        if (io.reading()) {
+            fatal_if(head >= slots_.size(),
+                     "checkpoint: shift register head out of range");
+            head_ = static_cast<std::size_t>(head);
+        }
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            slots_[(head_ + i) % slots_.size()].fields(io);
+        if (io.reading()) {
+            live_ = 0;
+            for (const auto &v : slots_)
+                live_ += v == idle_ ? 0 : 1;
         }
     }
 
@@ -139,7 +127,7 @@ class ShiftRegister
     T idle_;  // ser: config
     std::vector<T> slots_;
     std::size_t head_ = 0;
-    /** Count of non-idle stages; rebuilt in load(). */
+    /** Count of non-idle stages; rebuilt on restore. */
     std::size_t live_ = 0;  // ser: derived
 };
 

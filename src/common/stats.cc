@@ -135,35 +135,20 @@ P2QuantileSet::quantile(double p) const
 }
 
 void
-P2QuantileSet::save(ser::Writer &w) const
+P2QuantileSet::fields(ser::Io &io)
 {
-    w.u64(probs_.size());
-    for (const double p : probs_)
-        w.real(p);
-    w.u64(count_);
-    for (std::size_t i = 0; i < markers(); ++i) {
-        w.real(q_[i]);
-        w.real(n_[i]);
-        w.real(np_[i]);
-    }
-}
-
-void
-P2QuantileSet::load(ser::Reader &r)
-{
-    const auto k = r.u64();
-    fatal_if(k != probs_.size(), "checkpoint: P2QuantileSet has ", k,
-             " targets, configured ", probs_.size());
+    io.fixedCount(probs_.size(), "P2QuantileSet targets");
     for (const double configured : probs_) {
-        const double p = r.real();
+        double p = configured;
+        io.real(p);
         fatal_if(p != configured, "checkpoint: P2QuantileSet target ",
                  p, " != configured ", configured);
     }
-    count_ = r.u64();
+    io.u64(count_);
     for (std::size_t i = 0; i < markers(); ++i) {
-        q_[i] = r.real();
-        n_[i] = r.real();
-        np_[i] = r.real();
+        io.real(q_[i]);
+        io.real(n_[i]);
+        io.real(np_[i]);
     }
 }
 
@@ -183,48 +168,44 @@ StatRegistry::dump(std::ostream &os) const
     }
 }
 
-void
-StatRegistry::save(ser::Writer &w) const
+namespace
 {
-    w.tag("STRG");
-    w.u64(counters_.size());
-    for (const auto &[name, c] : counters_) {
-        w.str(name);
-        c.save(w);
+
+/** One map of named statistics: its size, then (name, value) pairs
+ *  in name order.  A restore assigns into existing map nodes
+ *  (inserting any missing) so the Counter and Sampler pointers
+ *  components cache stay valid. */
+template <typename Stat>
+void
+namedFields(ser::Io &io, std::map<std::string, Stat> &stats)
+{
+    // A name's length prefix and the smallest statistic are 8 bytes
+    // each.
+    const auto n = io.count(stats.size(), 16, "named statistics");
+    if (!io.reading()) {
+        for (auto &[name, stat] : stats) {
+            std::string key = name;
+            io.str(key);
+            stat.fields(io);
+        }
+        return;
     }
-    w.u64(waters_.size());
-    for (const auto &[name, hw] : waters_) {
-        w.str(name);
-        hw.save(w);
-    }
-    w.u64(samplers_.size());
-    for (const auto &[name, s] : samplers_) {
-        w.str(name);
-        s.save(w);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::string name;
+        io.str(name);
+        stats[name].fields(io);
     }
 }
 
+} // namespace
+
 void
-StatRegistry::load(ser::Reader &r)
+StatRegistry::fields(ser::Io &io)
 {
-    // Assign into existing map nodes (inserting any missing) so
-    // components' cached Counter*/Sampler* pointers stay valid.
-    r.tag("STRG");
-    const auto nc = r.u64();
-    for (std::uint64_t i = 0; i < nc; ++i) {
-        const auto name = r.str();
-        counters_[name].load(r);
-    }
-    const auto nw = r.u64();
-    for (std::uint64_t i = 0; i < nw; ++i) {
-        const auto name = r.str();
-        waters_[name].load(r);
-    }
-    const auto ns = r.u64();
-    for (std::uint64_t i = 0; i < ns; ++i) {
-        const auto name = r.str();
-        samplers_[name].load(r);
-    }
+    io.tag("STRG");
+    namedFields(io, counters_);
+    namedFields(io, waters_);
+    namedFields(io, samplers_);
 }
 
 } // namespace pktbuf

@@ -34,8 +34,7 @@ class Counter
 
     void reset() { value_ = 0; }
 
-    void save(ser::Writer &w) const { w.u64(value_); }
-    void load(ser::Reader &r) { value_ = r.u64(); }
+    void fields(ser::Io &io) { io.u64(value_); }
 
   private:
     std::uint64_t value_ = 0;
@@ -69,21 +68,12 @@ class Sampler
     }
 
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.u64(count_);
-        w.real(sum_);
-        w.real(min_);
-        w.real(max_);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        count_ = r.u64();
-        sum_ = r.real();
-        min_ = r.real();
-        max_ = r.real();
+        io.u64(count_);
+        io.real(sum_);
+        io.real(min_);
+        io.real(max_);
     }
 
   private:
@@ -108,8 +98,7 @@ class HighWater
 
     void reset() { max_ = 0; }
 
-    void save(ser::Writer &w) const { w.i64(max_); }
-    void load(ser::Reader &r) { max_ = r.i64(); }
+    void fields(ser::Io &io) { io.i64(max_); }
 
   private:
     std::int64_t max_ = 0;
@@ -152,10 +141,11 @@ class P2QuantileSet
 
     std::uint64_t count() const { return count_; }
 
-    void save(ser::Writer &w) const;
-    /** Restores a save() of an estimator with the same targets;
-     *  any other target set is a FatalError. */
-    void load(ser::Reader &r);
+    /** Restoring needs an estimator with the same targets; any
+     *  other target set is a FatalError. */
+    void fields(ser::Io &io);
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     std::size_t markers() const { return frac_.size(); }
@@ -194,13 +184,14 @@ class StatRegistry
     }
 
     /**
-     * Checkpoint.  load() assigns into existing entries (inserting
+     * Checkpoint.  A restore assigns into existing entries (inserting
      * missing ones) and never clears the maps: components hold
      * pointers and references to entries across save/restore, and
      * std::map nodes are stable, so those stay valid.
      */
-    void save(ser::Writer &w) const;
-    void load(ser::Reader &r);
+    void fields(ser::Io &io);
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     std::map<std::string, Counter> counters_;

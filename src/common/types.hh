@@ -49,7 +49,7 @@ struct Cell
     SeqNum seq = 0;
     Slot arrival = 0;
 
-    /** Bytes save() writes (u32 queue, u64 seq, u64 arrival): lets a
+    /** Bytes fields() writes (u32 queue, u64 seq, u64 arrival): lets a
      *  checkpoint load bound a cell count by the bytes left. */
     static constexpr std::size_t kSavedBytes = 4 + 8 + 8;
 
@@ -71,20 +71,15 @@ struct Cell
     }
 
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.u32(queue);
-        w.u64(seq);
-        w.u64(arrival);
+        io.u32(queue);
+        io.u64(seq);
+        io.u64(arrival);
     }
 
-    void
-    load(ser::Reader &r)
-    {
-        queue = r.u32();
-        seq = r.u64();
-        arrival = r.u64();
-    }
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 };
 
 /**

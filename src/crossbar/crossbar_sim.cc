@@ -53,21 +53,14 @@ CrossbarConfig::name() const
 std::string
 CrossbarConfig::describe() const
 {
-    std::ostringstream os;
-    os << name() << " groups=" << groups << " load=" << load
-       << " slots=" << slots << " master_seed=" << masterSeed;
+    std::ostringstream knob;
     if (scheduler == SchedulerKind::Islip)
-        os << " islip_iters=" << islipIterations;
+        knob << " islip_iters=" << islipIterations;
     if (scheduler == SchedulerKind::Qps)
-        os << " qps_window=" << qpsWindow;
-    if (pattern == sw::TrafficPattern::Hotspot) {
-        os << " hot_outputs=" << fabric::hotCount(hotOutputs, ports)
-           << " hot_fraction=" << hotFraction;
-    }
-    if (pattern == sw::TrafficPattern::Incast) {
-        os << " victim=" << incastVictim << " burst=" << incastBurst
-           << " hot_fraction=" << hotFraction;
-    }
+        knob << " qps_window=" << qpsWindow;
+    std::ostringstream os;
+    fabric::describeKnobs(os, *this, "hot_outputs", hotOutputs,
+                          knob.str());
     return os.str();
 }
 
@@ -261,20 +254,14 @@ CrossbarPortWorkload::requestQueue(Slot)
 }
 
 void
-CrossbarPortWorkload::saveExtra(ser::Writer &w) const
+CrossbarPortWorkload::extraFields(ser::Io &io)
 {
     // Checkpoints happen between slots, after requestQueue consumed
     // the grant -- a pending grant here means the engine and the
     // inputs disagree about the slot boundary.
-    panic_if(grant_ != kInvalidQueue,
+    panic_if(!io.reading() && grant_ != kInvalidQueue,
              "crossbar workload checkpointed with a pending grant");
-    w.u64(burst_remaining_);
-}
-
-void
-CrossbarPortWorkload::loadExtra(ser::Reader &r)
-{
-    burst_remaining_ = r.u64();
+    io.u64(burst_remaining_);
 }
 
 std::unique_ptr<CrossbarPortWorkload>
@@ -382,15 +369,7 @@ std::string
 CrossbarRun::checkpoint() const
 {
     ser::Writer w;
-    w.tag("XBAR");
-    w.u64(executed_);
-    w.u64(match_edges_);
-    w.u64(active_slots_);
-    w.u64(iter_sum_);
-    sched_->save(w);
-    w.u64(inputs_.size());
-    for (const auto &in : inputs_)
-        w.str(in->checkpoint());
+    ser::save(w, *this);
     return soak::sealCheckpoint(w.bytes(), fingerprint_);
 }
 
@@ -400,24 +379,35 @@ CrossbarRun::restore(const std::string &bytes)
     const std::string payload =
         soak::openCheckpoint(bytes, fingerprint_);
     ser::Reader r(payload);
-    r.tag("XBAR");
-    executed_ = r.u64();
-    fatal_if(executed_ > cfg_.slots, "checkpoint: executed slot ",
-             executed_, " beyond the main phase (", cfg_.slots, ")");
-    match_edges_ = r.u64();
-    active_slots_ = r.u64();
-    iter_sum_ = r.u64();
-    sched_->load(r);
-    const auto n = r.u64();
-    fatal_if(n != inputs_.size(), "checkpoint: ", n, " inputs, this "
-             "crossbar has ", inputs_.size());
-    for (auto &in : inputs_)
-        in->restore(r.str());
+    ser::load(r, *this);
     r.done();
-    for (const auto &in : inputs_)
+}
+
+void
+CrossbarRun::fields(ser::Io &io)
+{
+    io.tag("XBAR");
+    io.u64(executed_);
+    fatal_if(io.reading() && executed_ > cfg_.slots,
+             "checkpoint: executed slot ", executed_,
+             " beyond the main phase (", cfg_.slots, ")");
+    io.u64(match_edges_);
+    io.u64(active_slots_);
+    io.u64(iter_sum_);
+    sched_->fields(io);
+    io.fixedCount(inputs_.size(), "crossbar inputs");
+    for (auto &in : inputs_) {
+        std::string sealed = io.reading() ? "" : in->checkpoint();
+        io.str(sealed);
+        if (!io.reading())
+            continue;
+        in->restore(sealed);
         fatal_if(in->executed() != executed_,
                  "checkpoint: input slot cursor ", in->executed(),
                  " diverges from the fabric's ", executed_);
+    }
+    if (!io.reading())
+        return;
     const unsigned ports = cfg_.ports;
     for (unsigned i = 0; i < ports; ++i)
         for (unsigned j = 0; j < ports; ++j)

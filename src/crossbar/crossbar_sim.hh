@@ -223,8 +223,7 @@ class CrossbarPortWorkload : public sim::Workload
   protected:
     QueueId arrivalQueue(Slot now) override;
     QueueId requestQueue(Slot now) override;
-    void saveExtra(ser::Writer &w) const override;
-    void loadExtra(ser::Reader &r) override;
+    void extraFields(ser::Io &io) override;
 
   private:
     /** Draw this slot's arrival VOQ from the destination process. */
@@ -324,6 +323,9 @@ class CrossbarRun
      *  corruption or a foreign configuration. */
     void restore(const std::string &bytes);
 
+    /** The payload checkpoint() seals (see there). */
+    void fields(ser::Io &io);
+
     /**
      * Run the remaining main-phase slots, then complete every input
      * through soak::ScenarioRun::finish() (golden totals, full
@@ -339,27 +341,27 @@ class CrossbarRun
      */
     std::function<void(Slot, const Occupancy &, const Matching &,
                        unsigned)>
-        onMatch;
+        onMatch;  // ser: config
 
   private:
     void validate(Slot t, const Matching &m);
 
-    CrossbarConfig cfg_;
-    std::vector<InputPlan> plans_;
-    std::uint64_t fingerprint_;
+    CrossbarConfig cfg_;  // ser: config
+    std::vector<InputPlan> plans_;  // ser: config
+    std::uint64_t fingerprint_;  // ser: config
     std::unique_ptr<Scheduler> sched_;
     std::vector<std::unique_ptr<soak::ScenarioRun>> inputs_;
     /** The inputs' workloads (owned by inputs_), for grant
      *  injection and occupancy updates. */
-    std::vector<CrossbarPortWorkload *> wl_;
+    std::vector<CrossbarPortWorkload *> wl_;  // ser: config
     /**
      * The inputs' VOQ credits, kept in step slot by slot: a slot
      * changes at most input i's granted VOQ and its arrival's.  Only
      * restore() reads all N^2 credits.
      */
-    Occupancy occ_;
+    Occupancy occ_;  // ser: derived
     /** validate() scratch: the outputs a matching used. */
-    std::vector<std::uint64_t> taken_;
+    std::vector<std::uint64_t> taken_;  // ser: derived
     std::uint64_t executed_ = 0;
     std::uint64_t match_edges_ = 0;
     std::uint64_t active_slots_ = 0;

@@ -250,29 +250,19 @@ IslipScheduler::schedule(const Occupancy &occ)
 }
 
 void
-IslipScheduler::save(ser::Writer &w) const
+IslipScheduler::fields(ser::Io &io)
 {
-    w.tag("ISLP");
-    for (const auto p : g_)
-        w.u32(p);
-    for (const auto p : a_)
-        w.u32(p);
-}
-
-void
-IslipScheduler::load(ser::Reader &r)
-{
-    r.tag("ISLP");
-    for (auto &p : g_)
-        p = r.u32();
-    for (auto &p : a_)
-        p = r.u32();
-    for (const auto p : g_)
-        fatal_if(p >= ports_, "checkpoint: islip grant pointer ", p,
-                 " out of range");
-    for (const auto p : a_)
-        fatal_if(p >= ports_, "checkpoint: islip accept pointer ", p,
-                 " out of range");
+    io.tag("ISLP");
+    for (auto &p : g_) {
+        io.u32(p);
+        fatal_if(io.reading() && p >= ports_,
+                 "checkpoint: islip grant pointer ", p, " out of range");
+    }
+    for (auto &p : a_) {
+        io.u32(p);
+        fatal_if(io.reading() && p >= ports_,
+                 "checkpoint: islip accept pointer ", p, " out of range");
+    }
 }
 
 QpsScheduler::QpsScheduler(unsigned ports, unsigned window,
@@ -380,28 +370,18 @@ QpsScheduler::schedule(const Occupancy &occ)
 }
 
 void
-QpsScheduler::save(ser::Writer &w) const
+QpsScheduler::fields(ser::Io &io)
 {
-    w.tag("QPSS");
-    rng_.save(w);
-    for (const auto &h : held_) {
-        w.u32(h.out);
-        w.u64(h.age);
-    }
-}
-
-void
-QpsScheduler::load(ser::Reader &r)
-{
-    r.tag("QPSS");
-    rng_.load(r);
+    io.tag("QPSS");
+    rng_.fields(io);
     for (auto &h : held_) {
-        h.out = r.u32();
-        h.age = r.u64();
-        fatal_if(h.out != kInvalidQueue && h.out >= ports_,
+        io.u32(h.out);
+        io.u64(h.age);
+        if (!io.reading() || h.out == kInvalidQueue)
+            continue;
+        fatal_if(h.out >= ports_,
                  "checkpoint: qps held output out of range");
-        fatal_if(h.out != kInvalidQueue && h.age > window_,
-                 "checkpoint: qps hold age beyond window");
+        fatal_if(h.age > window_, "checkpoint: qps hold age beyond window");
     }
 }
 
@@ -450,17 +430,10 @@ RandomMaximalScheduler::schedule(const Occupancy &occ)
 }
 
 void
-RandomMaximalScheduler::save(ser::Writer &w) const
+RandomMaximalScheduler::fields(ser::Io &io)
 {
-    w.tag("RMAX");
-    rng_.save(w);
-}
-
-void
-RandomMaximalScheduler::load(ser::Reader &r)
-{
-    r.tag("RMAX");
-    rng_.load(r);
+    io.tag("RMAX");
+    rng_.fields(io);
 }
 
 std::unique_ptr<Scheduler>

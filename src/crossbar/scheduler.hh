@@ -14,7 +14,7 @@
  *  - deterministic: a scheduler is a pure function of its own state
  *    (pointers, RNG, held edges) and the occupancy matrix, so a
  *    checkpointed run replays bit-for-bit;
- *  - serializable: save()/load() capture the full decision state.
+ *  - serializable: fields() captures the full decision state.
  *
  * Maximality is a quality property, not part of the base contract:
  * iSLIP converges to a maximal matching given enough iterations, the
@@ -179,8 +179,9 @@ class Scheduler
     virtual unsigned lastIterations() const = 0;
 
     /** Checkpoint the full decision state (pointers, RNG, holds). */
-    virtual void save(ser::Writer &w) const = 0;
-    virtual void load(ser::Reader &r) = 0;
+    virtual void fields(ser::Io &io) = 0;
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 };
 
 /**
@@ -212,8 +213,7 @@ class IslipScheduler : public Scheduler
     std::string name() const override;
     Matching schedule(const Occupancy &occ) override;
     unsigned lastIterations() const override { return last_iters_; }
-    void save(ser::Writer &w) const override;
-    void load(ser::Reader &r) override;
+    void fields(ser::Io &io) override;
 
     /** Per-output grant pointers (exposed for the pointer tests). */
     const std::vector<unsigned> &grantPointers() const { return g_; }
@@ -262,8 +262,7 @@ class QpsScheduler : public Scheduler
     std::string name() const override;
     Matching schedule(const Occupancy &occ) override;
     unsigned lastIterations() const override { return last_iters_; }
-    void save(ser::Writer &w) const override;
-    void load(ser::Reader &r) override;
+    void fields(ser::Io &io) override;
 
   private:
     struct Hold
@@ -293,8 +292,7 @@ class RandomMaximalScheduler : public Scheduler
     std::string name() const override { return "random"; }
     Matching schedule(const Occupancy &occ) override;
     unsigned lastIterations() const override { return last_iters_; }
-    void save(ser::Writer &w) const override;
-    void load(ser::Reader &r) override;
+    void fields(ser::Io &io) override;
 
   private:
     unsigned ports_;  // ser: config

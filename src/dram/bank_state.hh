@@ -102,25 +102,13 @@ class BankState
     /** Checkpoint: busy horizons + access counter (timings are
      *  configuration and are rebuilt, not serialized). */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("BANK");
-        w.u64(busy_until_.size());
-        for (const auto bu : busy_until_)
-            w.u64(bu);
-        accesses_.save(w);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("BANK");
-        const auto n = r.u64();
-        fatal_if(n != busy_until_.size(), "checkpoint: ", n,
-                 " banks, configured ", busy_until_.size());
+        io.tag("BANK");
+        io.fixedCount(busy_until_.size(), "banks");
         for (auto &bu : busy_until_)
-            bu = r.u64();
-        accesses_.load(r);
+            io.u64(bu);
+        accesses_.fields(io);
     }
 
   private:

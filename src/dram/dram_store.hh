@@ -128,72 +128,48 @@ class DramStore
                  "recycling non-empty queue ", p);
     }
 
-    /** Checkpoint: group occupancies and every queue's blocks. */
-    void
-    save(ser::Writer &w) const
-    {
-        w.tag("DRAM");
-        w.u64(group_cells_.size());
-        for (const auto g : group_cells_)
-            w.u64(g);
-        w.u64(queues_.size());
-        for (const auto &qq : queues_) {
-            w.u64(qq.blocks.size());
-            qq.blocks.forEach([&](std::uint64_t ordinal,
-                                  const std::vector<Cell> &cells) {
-                w.u64(ordinal);
-                w.u64(cells.size());
-                for (const auto &c : cells)
-                    c.save(w);
-            });
-        }
-    }
-
     /**
-     * Restore.  With `spares`, the vectors of the blocks it replaces
-     * go onto the list and the restored blocks are built from it, so
-     * a restore reuses the buffer's block storage.
+     * Checkpoint: group occupancies and every queue's blocks.  With
+     * `spares`, a restore puts the vectors of the blocks it replaces
+     * on the list and builds the restored blocks from it, so it
+     * reuses the buffer's block storage.
      */
     void
-    load(ser::Reader &r, BlockSpares *spares = nullptr)
+    fields(ser::Io &io, BlockSpares *spares = nullptr)
     {
-        r.tag("DRAM");
-        const auto ng = r.u64();
-        fatal_if(ng != group_cells_.size(),
-                 "checkpoint: DRAM store has ", ng,
-                 " groups, configured ", group_cells_.size());
+        io.tag("DRAM");
+        io.fixedCount(group_cells_.size(), "DRAM store groups");
         for (auto &g : group_cells_)
-            g = r.u64();
-        const auto nq = r.u64();
-        fatal_if(nq != queues_.size(), "checkpoint: DRAM has ", nq,
-                 " queues, configured ", queues_.size());
+            io.u64(g);
+        io.fixedCount(queues_.size(), "DRAM queues");
         // Every block is an ordinal, a count and exactly b cells, so
         // the bytes left bound the block count before anything is
         // allocated from it.
         const std::uint64_t block_bytes = 8 + 8 + gran_ * Cell::kSavedBytes;
         for (auto &qq : queues_) {
-            qq.blocks.drain([spares](std::vector<Cell> &&cells) {
-                giveSpare(spares, std::move(cells));
-            });
-            const auto nb = r.u64();
-            fatal_if(nb > r.remaining() / block_bytes,
-                     "checkpoint: DRAM queue claims ", nb,
-                     " blocks with ", r.remaining(), " bytes left");
-            for (std::uint64_t i = 0; i < nb; ++i) {
-                const auto ordinal = r.u64();
-                const auto nc = r.u64();
-                fatal_if(nc != gran_, "checkpoint: DRAM block ",
-                         ordinal, " holds ", nc,
-                         " cells, granularity is ", gran_);
-                std::vector<Cell> cells = takeSpare(spares);
-                cells.resize(gran_);
-                for (auto &c : cells)
-                    c.load(r);
-                qq.blocks.restore(ordinal, std::move(cells), nb,
-                                  "DRAM block ordinal");
-            }
+            if (io.reading())
+                qq.blocks.drain([spares](std::vector<Cell> &&cells) {
+                    giveSpare(spares, std::move(cells));
+                });
+            const auto nb = io.count(qq.blocks.size(), block_bytes,
+                                     "DRAM blocks of a queue");
+            qq.blocks.fields(
+                io, nb, "DRAM block ordinal",
+                [&](std::uint64_t &ordinal, std::vector<Cell> &cells) {
+                    io.u64(ordinal);
+                    io.fixedCount(gran_, "cells in a DRAM block");
+                    if (io.reading()) {
+                        cells = takeSpare(spares);
+                        cells.resize(gran_);
+                    }
+                    for (auto &c : cells)
+                        c.fields(io);
+                });
         }
     }
+
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     struct QueueData

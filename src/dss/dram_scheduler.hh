@@ -111,27 +111,15 @@ class DramScheduler
      *  counter pointers are wiring, rebuilt by the constructor; the
      *  registry counters themselves restore with the registry. */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("DSAS");
-        rr_.save(w);
-        launches_.save(w);
-        stalls_.save(w);
-        for (const auto &c : stall_cause_)
-            c.save(w);
-        queue_delay_.save(w);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("DSAS");
-        rr_.load(r);
-        launches_.load(r);
-        stalls_.load(r);
+        io.tag("DSAS");
+        rr_.fields(io);
+        launches_.fields(io);
+        stalls_.fields(io);
         for (auto &c : stall_cause_)
-            c.load(r);
-        queue_delay_.load(r);
+            c.fields(io);
+        queue_delay_.fields(io);
     }
 
   private:

@@ -134,52 +134,34 @@ class OngoingRequests
     const dram::DramTiming &timing() const { return *timing_; }
 
     /** Checkpoint: lock entries and the turnaround horizons.  The
-     *  timing policy is configuration (rebuilt, not serialized). */
+     *  timing policy is configuration (rebuilt, not serialized); a
+     *  restore rebuilds the busy table from the entries and forgets
+     *  the prune memo. */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("ORRG");
-        w.u64(entries_.size());
-        for (const auto &e : entries_) {
-            w.u32(e.bank);
-            w.u64(e.until);
+        io.tag("ORRG");
+        if (io.reading()) {
+            std::fill(busy_until_.begin(), busy_until_.end(), 0);
+            pruned_at_.reset();
         }
-        w.u64(read_ok_);
-        w.u64(write_ok_);
-        high_water_.save(w);
+        constexpr std::uint64_t entry_bytes = 4 + 8;  // bank, until
+        const auto n =
+            io.count(entries_.size(), entry_bytes, "ORR entries");
+        entries_.resize(n);
+        for (auto &e : entries_) {
+            io.u32(e.bank);
+            io.u64(e.until);
+            if (io.reading())
+                lockRestored(e);
+        }
+        io.u64(read_ok_);
+        io.u64(write_ok_);
+        high_water_.fields(io);
     }
 
-    /** Restore the entries as saved; the busy table is rebuilt from
-     *  them and the prune memo forgotten. */
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("ORRG");
-        entries_.clear();
-        std::fill(busy_until_.begin(), busy_until_.end(), 0);
-        pruned_at_.reset();
-        const auto n = r.u64();
-        constexpr std::uint64_t entry_bytes = 4 + 8;  // bank, until
-        fatal_if(n > r.remaining() / entry_bytes, "checkpoint: ORR claims ",
-                 n, " entries with ", r.remaining(), " bytes left");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Entry e;
-            e.bank = r.u32();
-            e.until = r.u64();
-            fatal_if(e.bank >= kMaxBanks, "checkpoint: ORR bank ",
-                     e.bank, " is out of range");
-            fatal_if(e.until == 0 || lockedNoPrune(e.bank),
-                     "checkpoint: ORR entry for bank ", e.bank,
-                     " is repeated or expires at slot 0");
-            entries_.push_back(e);
-            if (e.bank >= busy_until_.size())
-                busy_until_.resize(e.bank + 1, 0);
-            busy_until_[e.bank] = e.until;
-        }
-        read_ok_ = r.u64();
-        write_ok_ = r.u64();
-        high_water_.load(r);
-    }
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     struct Entry
@@ -201,6 +183,20 @@ class OngoingRequests
     lockedNoPrune(unsigned bank) const
     {
         return bank < busy_until_.size() && busy_until_[bank] != 0;
+    }
+
+    /** Check one restored entry and enter it in the busy table. */
+    void
+    lockRestored(const Entry &e)
+    {
+        fatal_if(e.bank >= kMaxBanks, "checkpoint: ORR bank ", e.bank,
+                 " is out of range");
+        fatal_if(e.until == 0 || lockedNoPrune(e.bank),
+                 "checkpoint: ORR entry for bank ", e.bank,
+                 " is repeated or expires at slot 0");
+        if (e.bank >= busy_until_.size())
+            busy_until_.resize(e.bank + 1, 0);
+        busy_until_[e.bank] = e.until;
     }
 
     void

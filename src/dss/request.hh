@@ -35,28 +35,21 @@ struct DramRequest
     /** Times this request has been skipped over by the DSA. */
     unsigned skips = 0;
 
-    void
-    save(ser::Writer &w) const
-    {
-        w.u8(kind == Kind::Read ? 0 : 1);
-        w.u32(physQueue);
-        w.u64(blockOrdinal);
-        w.u32(bank);
-        w.u64(replenishSeq);
-        w.u64(issued);
-        w.u32(skips);
-    }
+    /** Bytes fields() writes. */
+    static constexpr std::uint64_t kSavedBytes = 1 + 4 + 8 + 4 + 8 + 8 + 4;
 
     void
-    load(ser::Reader &r)
+    fields(ser::Io &io)
     {
-        kind = r.u8() == 0 ? Kind::Read : Kind::Write;
-        physQueue = r.u32();
-        blockOrdinal = r.u64();
-        bank = r.u32();
-        replenishSeq = r.u64();
-        issued = r.u64();
-        skips = r.u32();
+        std::uint8_t k = kind == Kind::Read ? 0 : 1;
+        io.u8(k);
+        kind = k == 0 ? Kind::Read : Kind::Write;
+        io.u32(physQueue);
+        io.u64(blockOrdinal);
+        io.u32(bank);
+        io.u64(replenishSeq);
+        io.u64(issued);
+        io.u32(skips);
     }
 };
 

@@ -142,29 +142,16 @@ class RequestRegister
 
     /** Checkpoint: pending requests oldest-first + watermarks. */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("RREG");
-        w.u64(entries_.size());
-        for (const auto &e : entries_)
-            e.save(w);
-        high_water_.save(w);
-        max_skips_.save(w);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("RREG");
-        entries_.clear();
-        const auto n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            DramRequest req;
-            req.load(r);
-            entries_.push_back(req);
-        }
-        high_water_.load(r);
-        max_skips_.load(r);
+        io.tag("RREG");
+        const auto n = io.count(entries_.size(), DramRequest::kSavedBytes,
+                                "Requests Register entries");
+        entries_.resize(n);
+        for (auto &e : entries_)
+            e.fields(io);
+        high_water_.fields(io);
+        max_skips_.fields(io);
     }
 
   private:

@@ -11,6 +11,7 @@
  *
  *  - the pattern knobs every fabric rejects and the default hot
  *    count (checkKnobs, hotCount);
+ *  - the knobs both describe() texts print alike (describeKnobs);
  *  - the buffer every leg runs: RADS forces b = B and G = 1,
  *    renaming bounds DRAM at physical queues x B, leg i's seed is
  *    deriveSeed(master, i) (shapeLeg);
@@ -31,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +73,32 @@ constexpr unsigned kMaxPorts = 1024;
 void checkKnobs(const char *layer, unsigned ports, double load,
                 sw::TrafficPattern pattern, unsigned victim,
                 double hot_fraction);
+
+/**
+ * Print what a switch and a crossbar config describe alike: name,
+ * groups, load, slots and master seed, then `between` (the crossbar's
+ * scheduler knob), then the hotspot or incast shape, with the hot
+ * count named `hot_name` ("hot_ports", "hot_outputs").  Both
+ * describe() texts are checkpoint fingerprints, so what this prints
+ * must not change.
+ */
+template <typename Config>
+void
+describeKnobs(std::ostream &os, const Config &cfg, const char *hot_name,
+              unsigned hot, const std::string &between = "")
+{
+    os << cfg.name() << " groups=" << cfg.groups << " load=" << cfg.load
+       << " slots=" << cfg.slots << " master_seed=" << cfg.masterSeed
+       << between;
+    if (cfg.pattern == sw::TrafficPattern::Hotspot) {
+        os << " " << hot_name << "=" << hotCount(hot, cfg.ports)
+           << " hot_fraction=" << cfg.hotFraction;
+    }
+    if (cfg.pattern == sw::TrafficPattern::Incast) {
+        os << " victim=" << cfg.incastVictim << " burst="
+           << cfg.incastBurst << " hot_fraction=" << cfg.hotFraction;
+    }
+}
 
 /** The buffer one leg runs, before its layer sets load and traffic. */
 struct LegShape

@@ -204,7 +204,7 @@ class EcqfMma
 
     /**
      * Drop the whole calendar (stamps, critical set, clock).  The
-     * owner calls this after load() -- which already does it -- and
+     * owner calls this after a restore -- which already does it -- and
      * then replays onRequestEntering() for every resident lookahead
      * entry head to tail, rebuilding the derived view bit-exactly.
      */
@@ -227,27 +227,18 @@ class EcqfMma
      * invalidates all scratch state), so restore resets them.
      */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("ECQF");
-        w.u64(occ_.size());
-        for (const auto o : occ_)
-            w.i64(o);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("ECQF");
-        const auto n = r.u64();
-        fatal_if(n != occ_.size(), "checkpoint: ECQF has ", n,
-                 " queues, configured ", occ_.size());
+        io.tag("ECQF");
+        io.fixedCount(occ_.size(), "ECQF queues");
         for (auto &o : occ_)
-            o = r.i64();
-        std::fill(scratch_.begin(), scratch_.end(), 0);
-        std::fill(epoch_.begin(), epoch_.end(), 0);
-        scan_epoch_ = 0;
-        resetCalendar();
+            io.i64(o);
+        if (io.reading()) {
+            std::fill(scratch_.begin(), scratch_.end(), 0);
+            std::fill(epoch_.begin(), epoch_.end(), 0);
+            scan_epoch_ = 0;
+            resetCalendar();
+        }
     }
 
   private:

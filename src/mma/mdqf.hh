@@ -67,23 +67,12 @@ class MdqfMma
     std::int64_t occupancy(QueueId p) const { return occ_[p]; }
 
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("MDQF");
-        w.u64(occ_.size());
-        for (const auto o : occ_)
-            w.i64(o);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("MDQF");
-        const auto n = r.u64();
-        fatal_if(n != occ_.size(), "checkpoint: MDQF has ", n,
-                 " queues, configured ", occ_.size());
+        io.tag("MDQF");
+        io.fixedCount(occ_.size(), "MDQF queues");
         for (auto &o : occ_)
-            o = r.i64();
+            io.i64(o);
     }
 
   private:

@@ -68,18 +68,11 @@ class TailMma
 
     /** Checkpoint: the round-robin cursor. */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("TMMA");
-        w.u32(next_);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("TMMA");
-        next_ = r.u32();
-        fatal_if(queues_ && next_ >= queues_,
+        io.tag("TMMA");
+        io.u32(next_);
+        fatal_if(io.reading() && queues_ && next_ >= queues_,
                  "checkpoint: tail MMA cursor out of range");
     }
 

@@ -61,7 +61,8 @@ class RenamingTable
      */
     RenamingTable(unsigned logical_queues, unsigned phys_queues,
                   unsigned groups)
-        : groups_(groups), regs_(logical_queues), free_pool_(groups)
+        : phys_queues_(phys_queues), groups_(groups),
+          regs_(logical_queues), free_pool_(groups)
     {
         fatal_if(phys_queues < logical_queues,
                  "physical queues (", phys_queues,
@@ -205,65 +206,63 @@ class RenamingTable
         return n;
     }
 
-    /** Checkpoint: every register chain and the per-group free
-     *  pools (order matters -- allocation pops the front). */
+    /**
+     * Checkpoint: every register chain and the per-group free pools
+     * (order matters -- allocation pops the front).  A restore
+     * rejects a physical name that is out of range, sits in the free
+     * pool of another group, or appears twice across the chains and
+     * pools: the buffer indexes its per-queue state by these names.
+     */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("RNTB");
-        w.u64(regs_.size());
-        for (const auto &reg : regs_) {
-            w.u64(reg.req_idx);
-            w.u64(reg.elems.size());
-            for (const auto &e : reg.elems) {
-                w.u32(e.phys);
-                w.u64(e.assigned);
-                w.u64(e.requested);
-                w.u64(e.granted);
+        io.tag("RNTB");
+        io.fixedCount(regs_.size(), "renaming logical queues");
+        std::vector<bool> seen(io.reading() ? phys_queues_ : 0);
+        const auto name = [&](QueueId &p) {
+            io.u32(p);
+            if (!io.reading())
+                return;
+            fatal_if(p >= phys_queues_, "checkpoint: physical queue ",
+                     p, " out of range (", phys_queues_, " configured)");
+            fatal_if(seen[p], "checkpoint: physical queue ", p,
+                     " named twice in the renaming table");
+            seen[p] = true;
+        };
+        constexpr std::uint64_t elem_bytes = 4 + 8 + 8 + 8;
+        for (auto &reg : regs_) {
+            io.u64(reg.req_idx);
+            const auto ne =
+                io.count(reg.elems.size(), elem_bytes, "chain elements");
+            reg.elems.resize(ne);
+            for (auto &e : reg.elems) {
+                name(e.phys);
+                io.u64(e.assigned);
+                io.u64(e.requested);
+                io.u64(e.granted);
+            }
+            fatal_if(io.reading() && reg.req_idx > 0 &&
+                         reg.req_idx >= reg.elems.size(),
+                     "checkpoint: renaming request cursor ",
+                     reg.req_idx, " past its chain");
+        }
+        io.fixedCount(free_pool_.size(), "free pools");
+        for (unsigned g = 0; g < free_pool_.size(); ++g) {
+            auto &pool = free_pool_[g];
+            pool.resize(io.count(pool.size(), 4, "free physical queues"));
+            for (auto &p : pool) {
+                name(p);
+                fatal_if(io.reading() && groupOf(p) != g,
+                         "checkpoint: physical queue ", p,
+                         " in the free pool of group ", g);
             }
         }
-        w.u64(free_pool_.size());
-        for (const auto &pool : free_pool_) {
-            w.u64(pool.size());
-            for (const auto p : pool)
-                w.u32(p);
-        }
-        renames_.save(w);
-        recycles_.save(w);
+        renames_.fields(io);
+        recycles_.fields(io);
     }
 
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("RNTB");
-        const auto nq = r.u64();
-        fatal_if(nq != regs_.size(), "checkpoint: renaming table has ",
-                 nq, " logical queues, configured ", regs_.size());
-        for (auto &reg : regs_) {
-            reg.req_idx = r.u64();
-            reg.elems.clear();
-            const auto ne = r.u64();
-            for (std::uint64_t i = 0; i < ne; ++i) {
-                Element e;
-                e.phys = r.u32();
-                e.assigned = r.u64();
-                e.requested = r.u64();
-                e.granted = r.u64();
-                reg.elems.push_back(e);
-            }
-        }
-        const auto ng = r.u64();
-        fatal_if(ng != free_pool_.size(), "checkpoint: ", ng,
-                 " free pools, configured ", free_pool_.size());
-        for (auto &pool : free_pool_) {
-            pool.clear();
-            const auto np = r.u64();
-            for (std::uint64_t i = 0; i < np; ++i)
-                pool.push_back(r.u32());
-        }
-        renames_.load(r);
-        recycles_.load(r);
-    }
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     struct Element
@@ -337,6 +336,7 @@ class RenamingTable
         return best;
     }
 
+    unsigned phys_queues_;  // ser: config
     unsigned groups_;  // ser: config
     std::vector<Register> regs_;
     std::vector<std::deque<QueueId>> free_pool_;

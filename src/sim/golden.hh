@@ -55,25 +55,13 @@ class GoldenChecker
 
     /** Checkpoint: per-queue expected sequence numbers + total. */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("GLDN");
-        w.u64(expected_.size());
-        for (const auto e : expected_)
-            w.u64(e);
-        w.u64(granted_);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("GLDN");
-        const auto n = r.u64();
-        fatal_if(n != expected_.size(), "checkpoint: golden checker has ",
-                 n, " queues, configured ", expected_.size());
+        io.tag("GLDN");
+        io.fixedCount(expected_.size(), "golden checker queues");
         for (auto &e : expected_)
-            e = r.u64();
-        granted_ = r.u64();
+            io.u64(e);
+        io.u64(granted_);
     }
 
   private:

@@ -38,25 +38,14 @@ SimRunner::run(std::uint64_t slots)
 }
 
 void
-SimRunner::save(ser::Writer &w) const
+SimRunner::fields(ser::Io &io)
 {
-    w.tag("SRUN");
-    checker_.save(w);
-    delay_.save(w);
-    w.u64(arrivals_);
-    w.u64(grants_);
-    w.u64(slots_);
-}
-
-void
-SimRunner::load(ser::Reader &r)
-{
-    r.tag("SRUN");
-    checker_.load(r);
-    delay_.load(r);
-    arrivals_ = r.u64();
-    grants_ = r.u64();
-    slots_ = r.u64();
+    io.tag("SRUN");
+    checker_.fields(io);
+    delay_.fields(io);
+    io.u64(arrivals_);
+    io.u64(grants_);
+    io.u64(slots_);
 }
 
 std::uint64_t

@@ -55,8 +55,7 @@ class SimRunner
      * separately by the soak layer; restoring pairs this state with
      * a runner constructed over the restored buffer/workload.
      */
-    void save(ser::Writer &w) const;
-    void load(ser::Reader &r);
+    void fields(ser::Io &io);
 
   private:
     buffer::HybridBuffer &buf_;  // ser: config

@@ -114,38 +114,25 @@ class Workload
     /**
      * Checkpoint the generator state: RNG stream position, credits,
      * sequence stamps, drops, plus whatever cursors the concrete
-     * pattern keeps (via saveExtra/loadExtra).  Restore requires a
-     * workload constructed with the same parameters.
+     * pattern keeps (via extraFields).  Restore requires a workload
+     * constructed with the same parameters.
      */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("WLOD");
-        rng_.save(w);
-        w.u64(credit_.size());
-        for (const auto c : credit_)
-            w.u64(c);
-        for (const auto s : next_seq_)
-            w.u64(s);
-        w.u64(drops_);
-        saveExtra(w);
+        io.tag("WLOD");
+        rng_.fields(io);
+        io.fixedCount(credit_.size(), "workload queues");
+        for (auto &c : credit_)
+            io.u64(c);
+        for (auto &s : next_seq_)
+            io.u64(s);
+        io.u64(drops_);
+        extraFields(io);
     }
 
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("WLOD");
-        rng_.load(r);
-        const auto n = r.u64();
-        fatal_if(n != credit_.size(), "checkpoint: workload has ", n,
-                 " queues, configured ", credit_.size());
-        for (auto &c : credit_)
-            c = r.u64();
-        for (auto &s : next_seq_)
-            s = r.u64();
-        drops_ = r.u64();
-        loadExtra(r);
-    }
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   protected:
     /** Queue receiving a cell this slot, or kInvalidQueue. */
@@ -154,8 +141,7 @@ class Workload
     virtual QueueId requestQueue(Slot now) = 0;
 
     /** Pattern-specific checkpoint state (cursors, burst windows). */
-    virtual void saveExtra(ser::Writer &) const {}
-    virtual void loadExtra(ser::Reader &) {}
+    virtual void extraFields(ser::Io &) {}
 
     /** First queue with credit at or after `from`, cyclic. */
     QueueId
@@ -256,17 +242,10 @@ class RoundRobinWorstCase : public Workload
     }
 
     void
-    saveExtra(ser::Writer &w) const override
+    extraFields(ser::Io &io) override
     {
-        w.u32(arr_);
-        w.u32(req_);
-    }
-
-    void
-    loadExtra(ser::Reader &r) override
-    {
-        arr_ = r.u32();
-        req_ = r.u32();
+        io.u32(arr_);
+        io.u32(req_);
     }
 
   private:
@@ -355,17 +334,10 @@ class BurstyOnOff : public Workload
     }
 
     void
-    saveExtra(ser::Writer &w) const override
+    extraFields(ser::Io &io) override
     {
-        w.u32(hot_);
-        w.u64(remaining_);
-    }
-
-    void
-    loadExtra(ser::Reader &r) override
-    {
-        hot_ = r.u32();
-        remaining_ = r.u64();
+        io.u32(hot_);
+        io.u64(remaining_);
     }
 
   private:
@@ -458,16 +430,10 @@ class SubsetRoundRobin : public Workload
     }
 
     void
-    saveExtra(ser::Writer &w) const override
+    extraFields(ser::Io &io) override
     {
-        w.u64(idx_);
-    }
-
-    void
-    loadExtra(ser::Reader &r) override
-    {
-        idx_ = r.u64();
-        fatal_if(idx_ >= subset_.size(),
+        io.u64(idx_);
+        fatal_if(io.reading() && idx_ >= subset_.size(),
                  "checkpoint: subset cursor out of range");
     }
 
@@ -536,22 +502,13 @@ class PermutedDrain : public Workload
     }
 
     void
-    saveExtra(ser::Writer &w) const override
-    {
-        for (const auto q : perm_)
-            w.u32(q);
-        w.u32(pos_);
-        w.u32(arr_);
-    }
-
-    void
-    loadExtra(ser::Reader &r) override
+    extraFields(ser::Io &io) override
     {
         for (auto &q : perm_)
-            q = r.u32();
-        pos_ = r.u32();
-        arr_ = r.u32();
-        fatal_if(pos_ > queues_ || arr_ >= queues_,
+            io.u32(q);
+        io.u32(pos_);
+        io.u32(arr_);
+        fatal_if(io.reading() && (pos_ > queues_ || arr_ >= queues_),
                  "checkpoint: permuted-drain cursor out of range");
     }
 

@@ -84,7 +84,7 @@ ScenarioRun::runTo(std::uint64_t slot)
              " (already at ", executed_, ")");
     fatal_if(slot > s_.slots, "slot ", slot,
              " beyond the leg's main phase (", s_.slots, " slots)");
-    last_ = runner_->run(slot - executed_);
+    runner_->run(slot - executed_);
     executed_ = slot;
 }
 
@@ -92,11 +92,7 @@ std::string
 ScenarioRun::checkpoint() const
 {
     ser::Writer w;
-    w.tag("SOAK");
-    w.u64(executed_);
-    buf_->save(w);
-    wl_->save(w);
-    runner_->save(w);
+    ser::save(w, *this);
     return sealCheckpoint(w.bytes(), fingerprint_);
 }
 
@@ -105,14 +101,21 @@ ScenarioRun::restore(const std::string &bytes)
 {
     const std::string payload = openCheckpoint(bytes, fingerprint_);
     ser::Reader r(payload);
-    r.tag("SOAK");
-    executed_ = r.u64();
-    fatal_if(executed_ > s_.slots, "checkpoint: executed slot count ",
-             executed_, " beyond the leg's ", s_.slots, " slots");
-    buf_->load(r);
-    wl_->load(r);
-    runner_->load(r);
+    ser::load(r, *this);
     r.done();
+}
+
+void
+ScenarioRun::fields(ser::Io &io)
+{
+    io.tag("SOAK");
+    io.u64(executed_);
+    fatal_if(io.reading() && executed_ > s_.slots,
+             "checkpoint: executed slot count ", executed_,
+             " beyond the leg's ", s_.slots, " slots");
+    buf_->fields(io);
+    wl_->fields(io);
+    runner_->fields(io);
 }
 
 sim::ScenarioOutcome

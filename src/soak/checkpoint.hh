@@ -11,7 +11,7 @@
  *   config fingerprint u64 -- FNV-1a of Scenario::describe(), so a
  *                     checkpoint can only be restored into the same
  *                     leg (same grid, seed, slots, timing)
- *   payload           length-prefixed bytes (every layer's save())
+ *   payload           length-prefixed bytes (every layer's fields())
  *   checksum          u64 -- FNV-1a of the payload bytes
  *
  * Any mismatch -- wrong magic, unknown version, foreign fingerprint,
@@ -49,7 +49,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
  * Wrap a serialized payload in the versioned envelope.
- * @param payload the concatenated save() bytes of every layer
+ * @param payload the concatenated fields() bytes of every layer
  * @param config_fingerprint FNV-1a of the owning leg's describe()
  * @return the envelope bytes, ready for writeFile()
  */
@@ -118,6 +118,10 @@ class ScenarioRun
      */
     void restore(const std::string &bytes);
 
+    /** The payload checkpoint() seals: slot cursor, buffer,
+     *  workload, runner. */
+    void fields(ser::Io &io);
+
     /**
      * Run the remaining main-phase slots and complete the leg
      * through sim::completeScenario() -- the exact path
@@ -130,13 +134,12 @@ class ScenarioRun
     const sim::Workload &workload() const { return *wl_; }
 
   private:
-    sim::Scenario s_;
-    std::uint64_t fingerprint_;
+    sim::Scenario s_;  // ser: config
+    std::uint64_t fingerprint_;  // ser: config
     std::unique_ptr<sim::Workload> wl_;
     std::unique_ptr<buffer::HybridBuffer> buf_;
     std::unique_ptr<sim::SimRunner> runner_;
     std::uint64_t executed_ = 0;
-    sim::RunResult last_{};
 };
 
 /**

@@ -128,77 +128,51 @@ class HeadSram
         qq.next_consume_seq = 0;
     }
 
-    /** Checkpoint: every queue's block map and the occupancy. */
+    /** Checkpoint: every queue's block map and the occupancy;
+     *  `spares` as in DramStore::fields(). */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io, BlockSpares *spares = nullptr)
     {
-        w.tag("HSRM");
-        w.u64(queues_.size());
-        for (const auto &qq : queues_) {
-            w.u64(qq.next_consume_seq);
-            w.u64(qq.blocks.size());
-            qq.blocks.forEach([&](std::uint64_t seq, const Block &blk) {
-                w.u64(seq);
-                w.u64(blk.consumed);
-                w.u64(blk.cells.size());
-                for (const auto &c : blk.cells)
-                    c.save(w);
-            });
-        }
-        w.u64(occupancy_);
-        high_water_.save(w);
-    }
-
-    /** Restore; `spares` as in DramStore::load(). */
-    void
-    load(ser::Reader &r, BlockSpares *spares = nullptr)
-    {
-        r.tag("HSRM");
-        const auto n = r.u64();
-        fatal_if(n != queues_.size(), "checkpoint: h-SRAM has ", n,
-                 " queues, configured ", queues_.size());
+        io.tag("HSRM");
+        io.fixedCount(queues_.size(), "h-SRAM queues");
         // A block is a seq, a consumed count, a cell count and at
         // least one cell: the bytes left bound the block count, and
         // each block's shape is checked before its cells are read.
         constexpr std::uint64_t min_block_bytes =
             8 + 8 + 8 + Cell::kSavedBytes;
         for (auto &qq : queues_) {
-            qq.next_consume_seq = r.u64();
-            qq.blocks.drain([spares](Block &&blk) {
-                giveSpare(spares, std::move(blk.cells));
-            });
-            const auto nb = r.u64();
-            fatal_if(nb > r.remaining() / min_block_bytes,
-                     "checkpoint: h-SRAM queue claims ", nb,
-                     " blocks with ", r.remaining(), " bytes left");
-            for (std::uint64_t i = 0; i < nb; ++i) {
-                const auto seq = r.u64();
-                fatal_if(seq < qq.next_consume_seq,
-                         "checkpoint: h-SRAM block seq ", seq,
-                         " precedes the next consumed seq ",
-                         qq.next_consume_seq);
-                Block blk{takeSpare(spares), 0};
-                blk.consumed = r.u64();
-                const auto nc = r.u64();
-                fatal_if(nc == 0 || nc > gran_,
-                         "checkpoint: h-SRAM block seq ", seq, " holds ",
-                         nc, " cells, allowed 1..", gran_);
-                fatal_if(blk.consumed >= nc,
-                         "checkpoint: h-SRAM block seq ", seq,
-                         " consumed ", blk.consumed, " of ", nc, " cells");
-                // A partial block's vector still holds b cells when
-                // it is reused for a full one.
-                blk.cells.reserve(gran_);
-                blk.cells.resize(nc);
-                for (auto &c : blk.cells)
-                    c.load(r);
-                qq.blocks.restore(seq, std::move(blk), nb,
-                                  "h-SRAM replenish seq");
-            }
+            io.u64(qq.next_consume_seq);
+            if (io.reading())
+                qq.blocks.drain([spares](Block &&blk) {
+                    giveSpare(spares, std::move(blk.cells));
+                });
+            const auto nb = io.count(qq.blocks.size(), min_block_bytes,
+                                     "h-SRAM blocks of a queue");
+            qq.blocks.fields(
+                io, nb, "h-SRAM replenish seq",
+                [&](std::uint64_t &seq, Block &blk) {
+                    io.u64(seq);
+                    io.u64(blk.consumed);
+                    std::uint64_t nc = blk.cells.size();
+                    io.u64(nc);
+                    if (io.reading()) {
+                        checkBlock(qq, seq, blk.consumed, nc);
+                        // A partial block's vector still holds b
+                        // cells when it is reused for a full one.
+                        blk.cells = takeSpare(spares);
+                        blk.cells.reserve(gran_);
+                        blk.cells.resize(nc);
+                    }
+                    for (auto &c : blk.cells)
+                        c.fields(io);
+                });
         }
-        occupancy_ = r.u64();
-        high_water_.load(r);
+        io.u64(occupancy_);
+        high_water_.fields(io);
     }
+
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     /** A replenished block, consumed front to back in place. */
@@ -213,6 +187,20 @@ class HeadSram
         KeyWindow<Block> blocks;
         std::uint64_t next_consume_seq = 0;
     };
+
+    /** Restore-side shape checks of one saved block. */
+    void
+    checkBlock(const QueueState &qq, std::uint64_t seq,
+               std::uint64_t consumed, std::uint64_t nc) const
+    {
+        fatal_if(seq < qq.next_consume_seq, "checkpoint: h-SRAM block seq ",
+                 seq, " precedes the next consumed seq ",
+                 qq.next_consume_seq);
+        fatal_if(nc == 0 || nc > gran_, "checkpoint: h-SRAM block seq ",
+                 seq, " holds ", nc, " cells, allowed 1..", gran_);
+        fatal_if(consumed >= nc, "checkpoint: h-SRAM block seq ", seq,
+                 " consumed ", consumed, " of ", nc, " cells");
+    }
 
     /** Drop qq's fully consumed oldest block.  Kept out of pop() so
      *  that pop() stays small enough to inline into the grant path. */

@@ -184,44 +184,32 @@ class TailSram
 
     /** Checkpoint: every queue's cells + claim count, occupancy. */
     void
-    save(ser::Writer &w) const
+    fields(ser::Io &io)
     {
-        w.tag("TSRM");
-        w.u64(queues_.size());
-        for (const auto &qq : queues_) {
-            w.u64(qq.claimed);
-            w.u64(qq.size);
-            for (std::size_t i = 0; i < qq.size; ++i)
-                qq.at(i).save(w);
-        }
-        w.u64(occupancy_);
-        high_water_.save(w);
-    }
-
-    void
-    load(ser::Reader &r)
-    {
-        r.tag("TSRM");
-        const auto n = r.u64();
-        fatal_if(n != queues_.size(), "checkpoint: t-SRAM has ", n,
-                 " queues, configured ", queues_.size());
+        io.tag("TSRM");
+        io.fixedCount(queues_.size(), "t-SRAM queues");
         for (auto &qq : queues_) {
-            qq.claimed = r.u64();
-            qq.head = 0;
-            qq.size = 0;
-            const auto nc = r.u64();
-            for (std::uint64_t i = 0; i < nc; ++i) {
-                Cell c;
-                c.load(r);
-                qq.push(c);
+            io.u64(qq.claimed);
+            const auto nc =
+                io.count(qq.size, Cell::kSavedBytes, "t-SRAM cells");
+            if (io.reading()) {
+                qq.head = qq.size = 0;
+                for (std::uint64_t i = 0; i < nc; ++i)
+                    qq.push(Cell{});
             }
+            for (std::size_t i = 0; i < qq.size; ++i)
+                qq.at(i).fields(io);
         }
-        occupancy_ = r.u64();
-        high_water_.load(r);
+        io.u64(occupancy_);
+        high_water_.fields(io);
         // Rebuild the derived eligibility view for the armed
         // threshold (a no-op while disarmed).
-        setThreshold(threshold_);
+        if (io.reading())
+            setThreshold(threshold_);
     }
+
+    void save(ser::Writer &w) const { ser::save(w, *this); }
+    void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
     /** One queue: its cells oldest first in a ring, and the claims. */
@@ -232,8 +220,8 @@ class TailSram
         std::size_t size = 0;
         std::uint64_t claimed = 0;
 
-        const Cell &
-        at(std::size_t i) const
+        Cell &
+        at(std::size_t i)
         {
             return ring[(head + i) & (ring.size() - 1)];
         }

@@ -61,16 +61,7 @@ std::string
 SwitchConfig::describe() const
 {
     std::ostringstream os;
-    os << name() << " groups=" << groups << " load=" << load
-       << " slots=" << slots << " master_seed=" << masterSeed;
-    if (pattern == TrafficPattern::Hotspot) {
-        os << " hot_ports=" << fabric::hotCount(hotPorts, ports)
-           << " hot_fraction=" << hotFraction;
-    }
-    if (pattern == TrafficPattern::Incast) {
-        os << " victim=" << incastVictim << " burst=" << incastBurst
-           << " hot_fraction=" << hotFraction;
-    }
+    fabric::describeKnobs(os, *this, "hot_ports", hotPorts);
     if (!timing.isUniform())
         os << " timing=[" << timing.describe(granRads) << "]";
     return os.str();

@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "rename/renaming_table.hh"
 
 using namespace pktbuf;
@@ -23,6 +26,55 @@ GroupFreeFn
 unbounded()
 {
     return [](unsigned) { return UINT64_MAX; };
+}
+
+using Names = std::vector<std::vector<QueueId>>;
+
+/**
+ * A renaming-table checkpoint section written by hand: one chain of
+ * physical names per logical queue (each element with one cell
+ * assigned, nothing requested, `cursor` as its request cursor) and
+ * one free pool per group.
+ */
+std::string
+tableBytes(const Names &chains, const Names &pools,
+           std::uint64_t cursor)
+{
+    ser::Writer w;
+    w.tag("RNTB");
+    w.u64(chains.size());
+    for (const auto &chain : chains) {
+        w.u64(cursor);
+        w.u64(chain.size());
+        for (const auto p : chain) {
+            w.u32(p);
+            w.u64(1);  // assigned
+            w.u64(0);  // requested
+            w.u64(0);  // granted
+        }
+    }
+    w.u64(pools.size());
+    for (const auto &pool : pools) {
+        w.u64(pool.size());
+        for (const auto p : pool)
+            w.u32(p);
+    }
+    w.u64(0);  // renames
+    w.u64(0);  // recycles
+    return w.take();
+}
+
+/** Restore hand-written bytes into a 2-logical, 6-physical,
+ *  2-group table. */
+void
+restoreTable(const Names &chains, const Names &pools,
+             std::uint64_t cursor = 0)
+{
+    RenamingTable rt(2, 6, 2);
+    const auto bytes = tableBytes(chains, pools, cursor);
+    ser::Reader r(bytes);
+    rt.load(r);
+    r.done();
 }
 
 } // namespace
@@ -185,4 +237,48 @@ TEST(Renaming, IndependentLogicalQueues)
     EXPECT_NE(b, c);
     EXPECT_NE(a, c);
     EXPECT_EQ(rt.translateRequest(1), b);
+}
+
+TEST(Renaming, RestoreRoundTripsAndAcceptsConsistentNames)
+{
+    RenamingTable rt(2, 6, 2);
+    rt.assignArrival(0, unbounded());
+    rt.assignArrival(1, unbounded());
+    ser::Writer w;
+    rt.save(w);
+    RenamingTable back(2, 6, 2);
+    ser::Reader r(w.bytes());
+    back.load(r);
+    r.done();
+    ser::Writer again;
+    back.save(again);
+    EXPECT_EQ(again.bytes(), w.bytes());
+
+    EXPECT_NO_THROW(restoreTable({{0}, {1}}, {{2, 4}, {3, 5}}));
+}
+
+TEST(Renaming, RestoreRejectsInconsistentPhysicalNames)
+{
+    // The buffer indexes per-queue state by these names, so a
+    // corrupt one must fail the restore rather than the run.
+    EXPECT_THROW(restoreTable({{100000}, {1}}, {{2, 4}, {3, 5}}),
+                 FatalError);
+    EXPECT_THROW(restoreTable({{6}, {1}}, {{2, 4}, {3, 5}}),
+                 FatalError);
+    EXPECT_THROW(restoreTable({{0}, {1}}, {{2, 100000}, {3, 5}}),
+                 FatalError);
+    // 3 belongs to group 1, not to group 0's pool.
+    EXPECT_THROW(restoreTable({{0}, {1}}, {{2, 3}, {4, 5}}),
+                 FatalError);
+    // A name in two chains, in a chain and a pool, or twice in one
+    // pool.
+    EXPECT_THROW(restoreTable({{0}, {0}}, {{2, 4}, {3, 5}}),
+                 FatalError);
+    EXPECT_THROW(restoreTable({{0}, {1}}, {{0, 2}, {3, 5}}),
+                 FatalError);
+    EXPECT_THROW(restoreTable({{0}, {1}}, {{2, 2}, {3, 5}}),
+                 FatalError);
+    // A request cursor past the end of its chain.
+    EXPECT_THROW(restoreTable({{0}, {1}}, {{2, 4}, {3, 5}}, 1),
+                 FatalError);
 }

@@ -397,6 +397,55 @@ TEST(CheckpointEnvelope, RestoreRejectsForeignLeg)
     EXPECT_THROW(b.restore(bytes), FatalError);
 }
 
+TEST(CheckpointEnvelope, RestoreRejectsOutOfRangeRenamingName)
+{
+    // A re-sealed checkpoint whose renaming chain names a physical
+    // queue the buffer does not have must fail the restore; a
+    // restore that accepted it would index per-queue state out of
+    // bounds once the leg continued.
+    sim::Scenario s;
+    for (const auto &leg : sim::smokeMatrix())
+        if (leg.variant == sim::BufferVariant::CfdsRenaming)
+            s = leg;
+    ASSERT_EQ(s.variant, sim::BufferVariant::CfdsRenaming);
+    soak::ScenarioRun a(s);
+    a.runTo(s.slots / 2);
+    const auto fingerprint = ser::fnv1a(s.describe());
+    std::string payload = soak::openCheckpoint(a.checkpoint(), fingerprint);
+
+    // Walk the renaming section (tag, queue count, then per queue a
+    // request cursor, an element count and 28-byte elements) to the
+    // first element's u32 physical name.
+    const auto u64At = [&payload](std::size_t pos) {
+        std::uint64_t v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = v << 8 | static_cast<unsigned char>(payload[pos + i]);
+        return v;
+    };
+    std::size_t pos = payload.find("RNTB");
+    ASSERT_NE(pos, std::string::npos);
+    pos += 4;
+    const auto queues = u64At(pos);
+    pos += 8;
+    bool patched = false;
+    for (std::uint64_t q = 0; q < queues && !patched; ++q) {
+        const auto elems = u64At(pos + 8);
+        pos += 16;
+        if (elems > 0) {
+            const std::uint32_t bad = 100000;
+            for (int i = 0; i < 4; ++i)
+                payload[pos + i] = static_cast<char>(bad >> (8 * i));
+            patched = true;
+        }
+        pos += elems * 28;
+    }
+    ASSERT_TRUE(patched);
+
+    soak::ScenarioRun b(s);
+    EXPECT_THROW(b.restore(soak::sealCheckpoint(payload, fingerprint)),
+                 FatalError);
+}
+
 // ------------------------------------------------- bit identity
 
 /** The leg's emitted record, flattened to comparable bytes. */

@@ -1,12 +1,15 @@
 //===--- SerializationCompleteCheck.hh - pktbuf-serialization-complete ---===//
 //
 // The AST-true version of tools/lint/check_serialization.py: every
-// non-static data member of a class with save(ser::Writer&) /
-// load(ser::Reader&) hooks (own, saveExtra/loadExtra-style, or
-// out-of-line in a .cc) must be referenced in both hook bodies or
-// carry a "// ser: config" / "// ser: derived" annotation on (or just
-// above) its declaration.  Unlike the lexical engine, this check sees
-// through member-expression spelling, helper calls and out-of-line
+// non-static data member of a class with a fields(ser::Io&) hook
+// (own, an extraFields-style override, or out-of-line in a .cc) must
+// be listed in the hook bodies -- outside its load-side checks and
+// rebuilds -- or carry a "// ser: config" / "// ser: derived"
+// annotation on (or just above) its declaration.  A class that
+// hand-writes both a save*(ser::Writer&) and a load*(ser::Reader&)
+// body, other than one-line forwards onto the field list, is a
+// finding too.  Unlike the lexical engine, this check sees through
+// member-expression spelling, helper calls and out-of-line
 // definitions -- it matches actual FieldDecl references, not words.
 //
 // Per-TU scoping rule: the completeness verdict is only issued in a

@@ -30,6 +30,19 @@ class Reader
     unsigned long long u64();
     double real();
 };
+
+class Io
+{
+  public:
+    explicit Io(Writer &w);
+    explicit Io(Reader &r);
+    bool reading() const;
+    void u64(unsigned long long &v);
+    void real(double &v);
+};
+
+template <typename T> void save(Writer &w, const T &obj);
+template <typename T> void load(Reader &r, T &obj);
 } // namespace ser
 
 class Rng

@@ -9,53 +9,39 @@ class Good
 {
   public:
     void
-    save(pktbuf::ser::Writer &w) const
+    fields(pktbuf::ser::Io &io)
     {
-        w.u64(a_);
-        w.real(b_);
+        io.u64(a_);
+        io.real(b_);
+        if (io.reading())
+            scratch_ = a_;
     }
-    void
-    load(pktbuf::ser::Reader &r)
-    {
-        a_ = r.u64();
-        b_ = r.real();
-        rebuildScratch();
-    }
+    void save(pktbuf::ser::Writer &w) const { pktbuf::ser::save(w, *this); }
+    void load(pktbuf::ser::Reader &r) { pktbuf::ser::load(r, *this); }
 
   private:
-    void rebuildScratch();
-
     unsigned long long a_ = 0;
     double b_ = 0.0;
     unsigned queues_ = 8;  // ser: config
-    // ser: derived (rebuilt from a_ by load())
+    // ser: derived (rebuilt from a_ on restore)
     unsigned long long scratch_ = 0;
 };
 
-// The saveExtra/loadExtra subclass pattern: the subclass hook
-// serializes the subclass state.
+// The extraFields subclass pattern: the subclass hook lists the
+// subclass state.
 class Base
 {
   public:
     void
-    save(pktbuf::ser::Writer &w) const
+    fields(pktbuf::ser::Io &io)
     {
-        w.u64(a_);
-        saveExtra(w);
-    }
-    void
-    load(pktbuf::ser::Reader &r)
-    {
-        a_ = r.u64();
-        loadExtra(r);
+        io.u64(a_);
+        extraFields(io);
     }
 
   protected:
     virtual void
-    saveExtra(pktbuf::ser::Writer &) const
-    {}
-    virtual void
-    loadExtra(pktbuf::ser::Reader &)
+    extraFields(pktbuf::ser::Io &)
     {}
 
   private:
@@ -66,41 +52,29 @@ class Sub : public Base
 {
   protected:
     void
-    saveExtra(pktbuf::ser::Writer &w) const override
+    extraFields(pktbuf::ser::Io &io) override
     {
-        w.u64(cursor_);
-    }
-    void
-    loadExtra(pktbuf::ser::Reader &r) override
-    {
-        cursor_ = r.u64();
+        io.u64(cursor_);
     }
 
   private:
     unsigned long long cursor_ = 0;
 };
 
-// Out-of-line bodies, complete.
+// An out-of-line field list, complete.
 class OutOfLine
 {
   public:
-    void save(pktbuf::ser::Writer &w) const;
-    void load(pktbuf::ser::Reader &r);
+    void fields(pktbuf::ser::Io &io);
 
   private:
     unsigned long long a_ = 0;
 };
 
 void
-OutOfLine::save(pktbuf::ser::Writer &w) const
+OutOfLine::fields(pktbuf::ser::Io &io)
 {
-    w.u64(a_);
-}
-
-void
-OutOfLine::load(pktbuf::ser::Reader &r)
-{
-    a_ = r.u64();
+    io.u64(a_);
 }
 
 // A class with no hooks at all is not serializable: no findings.

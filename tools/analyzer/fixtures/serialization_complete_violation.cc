@@ -5,19 +5,14 @@
 namespace fixture
 {
 
-// A member added without updating either hook.
+// A member added without updating the field list.
 class Drifty
 {
   public:
     void
-    save(pktbuf::ser::Writer &w) const
+    fields(pktbuf::ser::Io &io)
     {
-        w.u64(a_);
-    }
-    void
-    load(pktbuf::ser::Reader &r)
-    {
-        a_ = r.u64();
+        io.u64(a_);
     }
 
   private:
@@ -25,15 +20,31 @@ class Drifty
     unsigned long long forgotten_ = 0;
 };
 
-// Saved but never loaded: restore silently zeroes it.
-class HalfDone
+// Named only by a restore-side rebuild: its bytes are never written.
+class RebuiltOnly
+{
+  public:
+    void
+    fields(pktbuf::ser::Io &io)
+    {
+        io.u64(a_);
+        if (io.reading())
+            b_ = 0;
+    }
+
+  private:
+    unsigned long long a_ = 0;
+    unsigned long long b_ = 0;
+};
+
+// Two hand-kept lists: the pair the one-list design replaces.
+class TwoLists
 {
   public:
     void
     save(pktbuf::ser::Writer &w) const
     {
         w.u64(a_);
-        w.u64(half_);
     }
     void
     load(pktbuf::ser::Reader &r)
@@ -43,23 +54,17 @@ class HalfDone
 
   private:
     unsigned long long a_ = 0;
-    unsigned long long half_ = 0;
 };
 
-// Subclass of a serializable base with state of its own but no
-// saveExtra/loadExtra-style hook: the base cannot serialize cursor_.
+// Subclass of a checkpointed base with state of its own but no
+// extraFields hook: the base cannot list cursor_.
 class Base
 {
   public:
     void
-    save(pktbuf::ser::Writer &w) const
+    fields(pktbuf::ser::Io &io)
     {
-        w.u64(a_);
-    }
-    void
-    load(pktbuf::ser::Reader &r)
-    {
-        a_ = r.u64();
+        io.u64(a_);
     }
 
   private:
@@ -72,13 +77,12 @@ class Sub : public Base
     unsigned long long cursor_ = 0;
 };
 
-// Out-of-line hook bodies (the hybrid_buffer.cc pattern): the check
-// must see through them in the TU that defines them.
+// An out-of-line field list (the hybrid_buffer.cc pattern): the check
+// must see through it in the TU that defines it.
 class OutOfLine
 {
   public:
-    void save(pktbuf::ser::Writer &w) const;
-    void load(pktbuf::ser::Reader &r);
+    void fields(pktbuf::ser::Io &io);
 
   private:
     unsigned long long a_ = 0;
@@ -86,19 +90,13 @@ class OutOfLine
 };
 
 void
-OutOfLine::save(pktbuf::ser::Writer &w) const
+OutOfLine::fields(pktbuf::ser::Io &io)
 {
-    w.u64(a_);
+    io.u64(a_);
 }
 
 void
-OutOfLine::load(pktbuf::ser::Reader &r)
-{
-    a_ = r.u64();
-}
-
-void
-touch(Drifty &, HalfDone &, Sub &, OutOfLine &)
+touch(Drifty &, RebuiltOnly &, TwoLists &, Sub &, OutOfLine &)
 {}
 
 } // namespace fixture

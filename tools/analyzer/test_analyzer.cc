@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllChecks, AnalyzerFixture,
     ::testing::Values(
         std::make_tuple("pktbuf-seed-discipline", 4),
-        std::make_tuple("pktbuf-serialization-complete", 4),
+        std::make_tuple("pktbuf-serialization-complete", 5),
         std::make_tuple("pktbuf-stat-key", 5),
         std::make_tuple("pktbuf-enum-switch", 2),
         std::make_tuple("pktbuf-describe-engine-agnostic", 2)),

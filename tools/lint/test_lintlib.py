@@ -98,8 +98,7 @@ class RegexEngineMembers(unittest.TestCase):
         text = """
 class Multi {
   public:
-    void save(ser::Writer &w) const { w.u64(plain_); w.u64(wide_); }
-    void load(ser::Reader &r) { plain_ = r.u64(); wide_ = r.u64(); }
+    void fields(ser::Io &io) { io.u64(plain_); io.u64(wide_); }
   private:
     unsigned plain_ = 0;
     std::map<unsigned,
@@ -113,8 +112,7 @@ class Multi {
         text = """
 class Multi {
   public:
-    void save(ser::Writer &w) const { w.u64(plain_); }
-    void load(ser::Reader &r) { plain_ = r.u64(); }
+    void fields(ser::Io &io) { io.u64(plain_); }
   private:
     unsigned plain_ = 0;
     std::vector<
@@ -131,8 +129,7 @@ class Multi {
         text = """
 class Stringy {
   public:
-    void save(ser::Writer &w) const { w.u64(a_); log("b_"); }
-    void load(ser::Reader &r) { a_ = r.u64(); log("b_"); }
+    void fields(ser::Io &io) { io.u64(a_); log("b_"); }
   private:
     unsigned a_ = 0;
     unsigned b_ = 0;
@@ -146,8 +143,7 @@ class Stringy {
         text = """
 class Annotated {
   public:
-    void save(ser::Writer &w) const { w.u64(a_); }
-    void load(ser::Reader &r) { a_ = r.u64(); }
+    void fields(ser::Io &io) { io.u64(a_); }
   private:
     unsigned a_ = 0;
     // ser: derived -- rebuilt by the first tick after restore;
@@ -156,6 +152,45 @@ class Annotated {
 };
 """
         self.assertEqual(_regex_findings(text), [])
+
+    def test_neighbour_annotation_does_not_cover(self):
+        # The comment trailing b_'s declaration belongs to b_, not to
+        # the member declared on the next line.
+        text = """
+class Neighbours {
+  public:
+    void fields(ser::Io &io) { io.u64(a_); }
+  private:
+    unsigned a_ = 0;
+    unsigned b_ = 0;  // ser: derived
+    unsigned c_ = 0;
+};
+"""
+        findings = _regex_findings(text)
+        self.assertEqual(len(findings), 1)
+        self.assertIn("c_", findings[0].message)
+
+    def test_load_side_check_does_not_list(self):
+        # Naming a member in a restore check or rebuild is not listing
+        # it: its bytes would never be written.
+        text = """
+class Checked {
+  public:
+    void fields(ser::Io &io) {
+        io.u64(a_);
+        fatal_if(io.reading() && b_ > a_, "b_ out of range");
+        if (io.reading())
+            c_ = 0;
+    }
+  private:
+    unsigned a_ = 0;
+    unsigned b_ = 0;
+    unsigned c_ = 0;
+};
+"""
+        names = sorted(f.message.split("::")[1].split()[0]
+                       for f in _regex_findings(text))
+        self.assertEqual(names, ["b_", "c_"])
 
 
 if __name__ == "__main__":
