@@ -293,6 +293,17 @@ HybridBuffer::groupFree(unsigned g) const
     return group_capacity_ - committed_[g];
 }
 
+std::uint64_t
+HybridBuffer::admitHorizon() const
+{
+    if (rt_)
+        return 0;
+    std::uint64_t h = UINT64_MAX;
+    for (unsigned g = 0; g < committed_.size(); ++g)
+        h = std::min(h, groupFree(g));
+    return h;
+}
+
 bool
 HybridBuffer::hasRoom(unsigned g) const
 {

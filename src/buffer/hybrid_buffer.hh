@@ -65,6 +65,14 @@ class HybridBuffer
 
     /** Would an arriving cell for `lq` be admitted right now? */
     bool wouldAdmit(QueueId lq) const;
+    /**
+     * Arrivals this buffer is sure to admit: wouldAdmit() holds for
+     * every queue on each of the next admitHorizon() arrivals.  Only
+     * an admission commits a group's space, so this is the smallest
+     * free space of any group -- UINT64_MAX with unbounded DRAM, and
+     * 0 with renaming on (its free list makes no such promise).
+     */
+    std::uint64_t admitHorizon() const;
     /** Slots elapsed. */
     Slot now() const { return now_; }
     BufferReport report() const;

@@ -1,8 +1,11 @@
 #include "crossbar_sim.hh"
 
 #include <algorithm>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "common/logging.hh"
 #include "sweep/emit.hh"
@@ -20,6 +23,13 @@ namespace
  *  kSchedSalt) stream never collides with an input's
  *  deriveSeed(master, input) stream. */
 constexpr std::uint64_t kSchedSalt = 0x78736368ull;  // "xsch"
+
+/** Longest window the control plane plans ahead (slots). */
+constexpr std::uint64_t kMaxWindow = 256;
+
+/** Shorter windows step the inputs on the calling thread: waking the
+ *  gang would cost more than the window's work. */
+constexpr std::uint64_t kMinFanOut = 32;
 
 /**
  * Incast burst-length cap.  A burst's cells pile into one VOQ, and a
@@ -196,15 +206,26 @@ CrossbarPortWorkload::CrossbarPortWorkload(const DestPlan &dest,
 }
 
 QueueId
+CrossbarPortWorkload::plan(QueueId grant)
+{
+    const QueueId arrival = pickArrival();
+    script_.push_back({arrival, grant});
+    return arrival;
+}
+
+QueueId
 CrossbarPortWorkload::arrivalQueue(Slot)
 {
-    // arrivalQueue runs before step() lands the arrival, so this is
-    // the same start-of-slot VOQ depth the matching engine hands its
-    // scheduler.
-    if (self_greedy_)
+    if (self_greedy_) {
+        // arrivalQueue runs before step() lands the arrival, so this
+        // is the same start-of-slot VOQ depth the matching engine
+        // hands its scheduler.
         start_credit_ = credit(0);
-    arrival_ = pickArrival();
-    return arrival_;
+        return pickArrival();
+    }
+    if (next_ == script_.size())
+        return pickArrival();
+    return script_[next_].arrival;
 }
 
 QueueId
@@ -248,20 +269,31 @@ CrossbarPortWorkload::requestQueue(Slot)
 {
     if (self_greedy_)
         return start_credit_ > 0 ? 0 : kInvalidQueue;
-    const QueueId g = grant_;
-    grant_ = kInvalidQueue;
+    if (next_ == script_.size())
+        return kInvalidQueue;
+    const QueueId g = script_[next_].grant;
+    if (++next_ == script_.size()) {
+        script_.clear();
+        next_ = 0;
+    }
     return g;
 }
 
 void
 CrossbarPortWorkload::extraFields(ser::Io &io)
 {
-    // Checkpoints happen between slots, after requestQueue consumed
-    // the grant -- a pending grant here means the engine and the
-    // inputs disagree about the slot boundary.
-    panic_if(!io.reading() && grant_ != kInvalidQueue,
-             "crossbar workload checkpointed with a pending grant");
+    // Checkpoints happen between windows, after the data plane played
+    // every planned slot -- a leftover plan here means the engine and
+    // the inputs disagree about the slot boundary.
+    panic_if(!io.reading() && !script_.empty(),
+             "crossbar workload checkpointed with ",
+             script_.size() - next_, " planned slots unplayed");
     io.u64(burst_remaining_);
+    // A restore drops whatever plan an aborted window left behind.
+    if (io.reading()) {
+        script_.clear();
+        next_ = 0;
+    }
 }
 
 std::unique_ptr<CrossbarPortWorkload>
@@ -272,20 +304,115 @@ makeInputWorkload(const InputPlan &plan, bool self_greedy)
         self_greedy);
 }
 
+/**
+ * The threads that run the data plane.  Worker k of a gang of `size`
+ * (the caller is worker 0) steps inputs k, k + size, ..., always the
+ * same ones, so an input's buffer stays in one core's cache.  The
+ * mutex hands each window's plan to the workers and their inputs'
+ * state back to the caller.
+ */
+struct CrossbarRun::Gang
+{
+    Gang(CrossbarRun &run, unsigned size) : run_(run), size_(size)
+    {
+        try {
+            threads_.reserve(size - 1);
+            for (unsigned k = 1; k < size; ++k)
+                threads_.emplace_back([this, k] { work(k); });
+        } catch (...) {
+            stop();
+            throw;
+        }
+    }
+
+    ~Gang() { stop(); }
+
+    Gang(const Gang &) = delete;
+    Gang &operator=(const Gang &) = delete;
+
+    /** Step every input to slot `end`; returns when all are there. */
+    void
+    run(std::uint64_t end)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            end_ = end;
+            pending_ = size_ - 1;
+            ++round_;
+        }
+        start_.notify_all();
+        run_.stepShare(0, size_, end);
+        std::unique_lock<std::mutex> lock(mu_);
+        done_.wait(lock, [this] { return pending_ == 0; });
+    }
+
+  private:
+    void
+    work(unsigned k)
+    {
+        std::uint64_t seen = 0;
+        while (true) {
+            std::uint64_t end = 0;
+            {
+                std::unique_lock<std::mutex> lock(mu_);
+                start_.wait(lock,
+                            [&] { return stopping_ || round_ != seen; });
+                if (stopping_)
+                    return;
+                seen = round_;
+                end = end_;
+            }
+            run_.stepShare(k, size_, end);
+            std::lock_guard<std::mutex> lock(mu_);
+            if (--pending_ == 0)
+                done_.notify_one();
+        }
+    }
+
+    void
+    stop()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            stopping_ = true;
+        }
+        start_.notify_all();
+        for (auto &t : threads_)
+            t.join();
+    }
+
+    CrossbarRun &run_;
+    const unsigned size_;
+    /** Guards the round state below. */
+    std::mutex mu_;
+    std::condition_variable start_;
+    std::condition_variable done_;
+    /** Bumped per window; a worker runs each round once. */
+    std::uint64_t round_ = 0;
+    /** The window's end slot. */
+    std::uint64_t end_ = 0;
+    /** Workers still stepping this round. */
+    unsigned pending_ = 0;
+    bool stopping_ = false;
+    /** Last: the workers use every member above. */
+    std::vector<std::thread> threads_;
+};
+
 CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
     : cfg_(cfg), plans_(planCrossbar(cfg)),
       fingerprint_(ser::fnv1a(cfg.describe())),
       sched_(makeScheduler(
           cfg.scheduler, cfg.ports, cfg.islipIterations,
           cfg.qpsWindow, sweep::deriveSeed(cfg.masterSeed, kSchedSalt))),
-      wl_(cfg.ports, nullptr), occ_(cfg.ports), taken_(occ_.words(), 0)
+      wl_(cfg.ports, nullptr), occ_(cfg.ports), taken_(occ_.words(), 0),
+      drops_(cfg.ports, 0), errors_(cfg.ports)
 {
     // Fresh workloads hold no credit: the all-zero occ_ is exact.
     inputs_.reserve(cfg.ports);
     for (unsigned i = 0; i < cfg.ports; ++i) {
         // The factory runs synchronously inside the ScenarioRun
         // constructor and hands back the owning pointer; wl_ keeps
-        // the derived view for grant injection.
+        // the derived view for planning.
         inputs_.push_back(std::make_unique<soak::ScenarioRun>(
             plans_[i].scenario, [this, i] {
                 auto w = makeInputWorkload(plans_[i]);
@@ -294,6 +421,8 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
             }));
     }
 }
+
+CrossbarRun::~CrossbarRun() = default;
 
 void
 CrossbarRun::validate(Slot t, const Matching &m)
@@ -328,8 +457,26 @@ CrossbarRun::runTo(std::uint64_t slot)
              " (already at ", executed_, ")");
     fatal_if(slot > cfg_.slots, "slot ", slot,
              " beyond the main phase (", cfg_.slots, " slots)");
+    while (executed_ < slot) {
+        // An input takes at most one arrival per slot, so for its
+        // admitHorizon() slots every arrival is admitted and the
+        // control plane's projected credits are exact.  A horizon of
+        // 0 (renaming) leaves one lockstep slot.
+        std::uint64_t w = std::min(slot - executed_, kMaxWindow);
+        for (const auto &in : inputs_)
+            w = std::min(w, in->buffer().admitHorizon());
+        w = std::max<std::uint64_t>(w, 1);
+        planWindow(w);
+        stepInputs(w);
+        executed_ += w;
+    }
+}
+
+void
+CrossbarRun::planWindow(std::uint64_t w)
+{
     const unsigned n = cfg_.ports;
-    for (std::uint64_t t = executed_; t < slot; ++t) {
+    for (std::uint64_t t = executed_; t < executed_ + w; ++t) {
         // occ_ holds the start-of-slot credits: cells arrived but
         // not yet requested, exactly what the fabric may move.
         // An all-empty fabric slot never consults the scheduler, so
@@ -338,29 +485,69 @@ CrossbarRun::runTo(std::uint64_t slot)
         const bool any = occ_.total() > 0;
         const Matching m =
             any ? sched_->schedule(occ_) : Matching(n, kInvalidQueue);
-        unsigned iters = 0;
         if (any) {
             validate(t, m);
-            iters = sched_->lastIterations();
+            const unsigned iters = sched_->lastIterations();
             ++active_slots_;
             iter_sum_ += iters;
             match_edges_ += matchingSize(m);
+            if (onMatch)
+                onMatch(t, occ_, m, iters);
         }
-        for (unsigned i = 0; i < n; ++i)
-            wl_[i]->setGrant(m[i]);
-        for (unsigned i = 0; i < n; ++i)
-            inputs_[i]->runTo(t + 1);
-        executed_ = t + 1;
-        if (any && onMatch)
-            onMatch(t, occ_, m, iters);
-        // The slot moved credit only on input i's granted VOQ and on
-        // the VOQ its arrival picked (unchanged if it was dropped).
         for (unsigned i = 0; i < n; ++i) {
-            const CrossbarPortWorkload &w = *wl_[i];
             if (m[i] != kInvalidQueue)
-                occ_.set(i, m[i], w.credit(m[i]));
-            if (w.lastArrival() != kInvalidQueue)
-                occ_.set(i, w.lastArrival(), w.credit(w.lastArrival()));
+                occ_.set(i, m[i], occ_.at(i, m[i]) - 1);
+            const QueueId a = wl_[i]->plan(m[i]);
+            if (a != kInvalidQueue)
+                occ_.set(i, a, occ_.at(i, a) + 1);
+        }
+    }
+}
+
+void
+CrossbarRun::stepInputs(std::uint64_t w)
+{
+    const unsigned n = cfg_.ports;
+    const std::uint64_t end = executed_ + w;
+    for (unsigned i = 0; i < n; ++i)
+        drops_[i] = wl_[i]->drops();
+    // Inside a sweep task the pool already fills the CPUs.
+    const unsigned size = std::min(
+        n, sweep::onSweepWorker() ? 1u : sweep::availableCpus());
+    if (w >= kMinFanOut && size > 1) {
+        if (!gang_)
+            gang_ = std::make_unique<Gang>(*this, size);
+        gang_->run(end);
+    } else {
+        stepShare(0, 1, end);
+    }
+    for (auto &e : errors_) {
+        if (e) {
+            const std::exception_ptr first = e;
+            std::fill(errors_.begin(), errors_.end(), nullptr);
+            std::rethrow_exception(first);
+        }
+    }
+    for (unsigned i = 0; i < n; ++i) {
+        if (wl_[i]->drops() == drops_[i])
+            continue;
+        panic_if(w > 1, "input ", i, " dropped an arrival inside a ",
+                 w, "-slot window its admission horizon covered");
+        // The slot's arrival never landed: re-read the row.
+        for (unsigned j = 0; j < n; ++j)
+            occ_.set(i, j, wl_[i]->credit(j));
+    }
+}
+
+void
+CrossbarRun::stepShare(unsigned first, unsigned stride,
+                       std::uint64_t end)
+{
+    for (unsigned i = first; i < cfg_.ports; i += stride) {
+        try {
+            inputs_[i]->runTo(end);
+        } catch (...) {
+            errors_[i] = std::current_exception();
         }
     }
 }

@@ -13,18 +13,34 @@
  * The layering deliberately adds no second simulation code path:
  * input i *is* a soak::ScenarioRun (the checkpointable
  * runScenarioWith() skeleton) whose workload's requests are the
- * matching engine's grants.  Per slot the engine hands the
+ * matching engine's grants.
+ *
+ * The engine runs in windows of up to 256 slots.  Its control plane,
+ * on the calling thread, plans each slot of a window: it hands the
  * scheduler its Occupancy of every input's VOQ credits, validates
  * the matching (conflict-free, backed -- panics otherwise: a bad
- * matching is a scheduler bug), injects each grant into its input's
- * workload, advances all inputs one lockstep slot and re-reads the
- * two credits per input the slot may have changed (the granted VOQ
- * and the arrival's).  A 1x1 crossbar therefore reproduces the
- * matching single-buffer scenario leg bit-for-bit (any maximal
- * scheduler is work-conserving at N == 1), and checkpoint/restore of
- * the whole fabric -- scheduler pointers, RNG, every input's sealed
- * envelope -- is bit-identical to an unbroken run.  tests/test_crossbar.cc
- * enforces both.
+ * matching is a scheduler bug), draws each input's arrival from that
+ * input's own RNG, queues {arrival, grant} in the input's workload
+ * and projects the credits (-grant, +arrival).  Its data plane then
+ * steps every input through the window, spread over a worker gang
+ * (one thread per CPU in the affinity mask, up to one per input,
+ * started on the first window of at least 32 slots; shorter windows,
+ * and every window of a run inside a runSweep pool task, step on the
+ * caller).  The projection is exact because admission is the only
+ * way a buffer feeds back: a window is no longer than any input's
+ * admitHorizon(), within which every arrival is admitted.  A horizon of 0 (renaming)
+ * leaves one lockstep slot, after which a dropped arrival's credit
+ * is re-read.  Every RNG stream is per input or per scheduler and
+ * checkpoints fall between windows, so the bytes do not depend on
+ * the window lengths or the gang size.
+ *
+ * Because each input is a plain ScenarioRun, a 1x1 crossbar
+ * reproduces the matching single-buffer scenario leg bit-for-bit (any
+ * maximal scheduler is work-conserving at N == 1), and
+ * checkpoint/restore of the whole fabric -- scheduler pointers, RNG,
+ * every input's sealed envelope -- is bit-identical to an unbroken
+ * run.  tests/test_crossbar.cc enforces both, and that any split of
+ * runTo() calls gives the same bytes.
  *
  * Destination patterns reuse the switch layer's TrafficPattern
  * vocabulary, reinterpreted over *outputs*: uniform spreads each
@@ -40,6 +56,7 @@
 #define PKTBUF_CROSSBAR_CROSSBAR_SIM_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -183,16 +200,21 @@ struct InputPlan
 std::vector<InputPlan> planCrossbar(const CrossbarConfig &cfg);
 
 /**
- * Workload of one crossbar input: arrivals pick a destination VOQ by
- * the input's DestPlan (own RNG -- streams are input-local); requests
- * replay the matching engine's grant, injected via setGrant() just
- * before the slot advances.
+ * Workload of one crossbar input.  The fabric's control plane calls
+ * plan() once per slot: it draws the slot's arrival VOQ from the
+ * input's DestPlan (own RNG -- streams are input-local) and queues it
+ * with the matching's grant.  The input's data plane then replays
+ * that script, one planned slot per step; drawing ahead consumes the
+ * RNG stream in exactly the order a lockstep run would.  A slot with
+ * no plan left (only after the fabric aborted a window) draws its own
+ * arrival and requests nothing.
  *
  * In self-greedy mode (valid only for 1 output) the workload instead
- * requests its single VOQ whenever the VOQ was non-empty at the
- * start of the slot -- exactly the decision any maximal 1x1 matching
- * makes -- which is how the equivalence tests build the reference
- * single-buffer leg without a crossbar engine in the loop.
+ * draws its own arrival and requests its single VOQ whenever the VOQ
+ * was non-empty at the start of the slot -- exactly the decision any
+ * maximal 1x1 matching makes -- which is how the equivalence tests
+ * build the reference single-buffer leg without a crossbar engine in
+ * the loop.
  */
 class CrossbarPortWorkload : public sim::Workload
 {
@@ -202,23 +224,19 @@ class CrossbarPortWorkload : public sim::Workload
      * @param seed this input's RNG seed
      * @param load arrival probability per slot
      * @param self_greedy serve the single VOQ greedily instead of
-     *        waiting for grants (requires dest.outputs == 1)
+     *        replaying planned grants (requires dest.outputs == 1)
      */
     CrossbarPortWorkload(const DestPlan &dest, std::uint64_t seed,
                          double load, bool self_greedy = false);
 
     std::string name() const override { return "crossbar-voq"; }
 
-    /** Inject this slot's grant (kInvalidQueue = unmatched). */
-    void
-    setGrant(QueueId out)
-    {
-        grant_ = out;
-    }
-
-    /** The VOQ the last slot's arrival picked, admitted or dropped;
-     *  kInvalidQueue when no cell arrived. */
-    QueueId lastArrival() const { return arrival_; }
+    /**
+     * Plan the next unplayed slot: draw its arrival and queue it
+     * with `grant` (kInvalidQueue = unmatched).
+     * @return the arrival VOQ, or kInvalidQueue when no cell arrives
+     */
+    QueueId plan(QueueId grant);
 
   protected:
     QueueId arrivalQueue(Slot now) override;
@@ -226,17 +244,26 @@ class CrossbarPortWorkload : public sim::Workload
     void extraFields(ser::Io &io) override;
 
   private:
+    /** One planned slot. */
+    struct Planned
+    {
+        QueueId arrival;
+        QueueId grant;
+    };
+
     /** Draw this slot's arrival VOQ from the destination process. */
     QueueId pickArrival();
 
     DestPlan dest_;  // ser: config
     double load_;  // ser: config
     bool self_greedy_;  // ser: config
-    /** Engine-injected grant; consumed (reset) every slot. */
-    QueueId grant_ = kInvalidQueue;  // ser: derived
-    /** Rewritten every slot by arrivalQueue(); read back by the
-     *  engine within the same slot. */
-    QueueId arrival_ = kInvalidQueue;  // ser: derived
+    /**
+     * Planned slots not yet played, from next_ on; emptied once the
+     * data plane plays the last one, so a checkpoint (taken between
+     * windows) finds it empty.  The storage is reused.
+     */
+    std::vector<Planned> script_;  // ser: derived
+    std::size_t next_ = 0;  // ser: derived
     /** Incast: cells left in the current victim-directed burst. */
     std::uint64_t burst_remaining_ = 0;
     /**
@@ -284,8 +311,8 @@ struct CrossbarOutcome
 };
 
 /**
- * The crossbar engine: N lockstep ScenarioRun inputs coupled by the
- * matching scheduler.  Checkpointable at any main-phase slot.
+ * The crossbar engine: N ScenarioRun inputs coupled by the matching
+ * scheduler.  Checkpointable at any main-phase slot.
  *
  * Usage mirrors soak::ScenarioRun:
  *   CrossbarRun a(cfg);
@@ -294,18 +321,29 @@ struct CrossbarOutcome
  *   CrossbarRun b(cfg);        // fresh objects, same config
  *   b.restore(bytes);
  *   auto out = b.finish();     // == runCrossbar(cfg) bit for bit
+ *
+ * Not copyable or movable: the worker gang holds `this`.
  */
 class CrossbarRun
 {
   public:
-    /** Build every input and the scheduler; fatal() on bad knobs. */
+    /** Build every input and the scheduler; fatal() on bad knobs.
+     *  Starts no thread. */
     explicit CrossbarRun(const CrossbarConfig &cfg);
+    ~CrossbarRun();
+
+    CrossbarRun(const CrossbarRun &) = delete;
+    CrossbarRun &operator=(const CrossbarRun &) = delete;
 
     const CrossbarConfig &config() const { return cfg_; }
     const std::vector<InputPlan> &plans() const { return plans_; }
     const Scheduler &scheduler() const { return *sched_; }
 
-    /** Advance the main phase to absolute slot `slot` (<= slots). */
+    /**
+     * Advance the main phase to absolute slot `slot` (<= slots), one
+     * window at a time (see the file comment).  An exception in an
+     * input is rethrown here -- the lowest-numbered failing input's.
+     */
     void runTo(std::uint64_t slot);
 
     /** Main-phase slots executed so far. */
@@ -336,36 +374,54 @@ class CrossbarRun
     /**
      * Test observer: called once per *active* slot (non-empty
      * occupancy) with the start-of-slot occupancy, the validated
-     * matching and the scheduler's iteration count.  Not part of the
-     * checkpointed state.
+     * matching and the scheduler's iteration count.  It fires on the
+     * thread that called runTo(), from the control plane, before the
+     * inputs step that slot.  Not part of the checkpointed state.
      */
     std::function<void(Slot, const Occupancy &, const Matching &,
                        unsigned)>
         onMatch;  // ser: config
 
   private:
+    /** The worker threads that step the inputs (crossbar_sim.cc). */
+    struct Gang;
+
     void validate(Slot t, const Matching &m);
+    /** Control plane: match and plan the `w` slots from executed_. */
+    void planWindow(std::uint64_t w);
+    /** Data plane: play the planned `w` slots on every input. */
+    void stepInputs(std::uint64_t w);
+    /** Step inputs first, first + stride, ... to slot `end`,
+     *  recording each one's exception in errors_. */
+    void stepShare(unsigned first, unsigned stride, std::uint64_t end);
 
     CrossbarConfig cfg_;  // ser: config
     std::vector<InputPlan> plans_;  // ser: config
     std::uint64_t fingerprint_;  // ser: config
     std::unique_ptr<Scheduler> sched_;
     std::vector<std::unique_ptr<soak::ScenarioRun>> inputs_;
-    /** The inputs' workloads (owned by inputs_), for grant
-     *  injection and occupancy updates. */
+    /** The inputs' workloads (owned by inputs_), for planning and
+     *  credit reads. */
     std::vector<CrossbarPortWorkload *> wl_;  // ser: config
     /**
-     * The inputs' VOQ credits, kept in step slot by slot: a slot
-     * changes at most input i's granted VOQ and its arrival's.  Only
-     * restore() reads all N^2 credits.
+     * The inputs' VOQ credits, projected slot by slot by the control
+     * plane: a slot takes one cell from input i's granted VOQ and
+     * adds its arrival.  Only restore() reads all N^2 credits.
      */
     Occupancy occ_;  // ser: derived
     /** validate() scratch: the outputs a matching used. */
     std::vector<std::uint64_t> taken_;  // ser: derived
+    /** stepInputs() scratch: each input's drops() before the window. */
+    std::vector<std::uint64_t> drops_;  // ser: derived
+    /** stepInputs() scratch: each input's exception in the window. */
+    std::vector<std::exception_ptr> errors_;  // ser: derived
     std::uint64_t executed_ = 0;
     std::uint64_t match_edges_ = 0;
     std::uint64_t active_slots_ = 0;
     std::uint64_t iter_sum_ = 0;
+    /** Built on the first window that fans out; declared last so it
+     *  stops before anything it steps is destroyed. */
+    std::unique_ptr<Gang> gang_;  // ser: derived
 };
 
 /**

@@ -1,9 +1,12 @@
 #include "sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <thread>
+
+#include <sched.h>
 
 namespace pktbuf::sweep
 {
@@ -22,6 +25,8 @@ deriveSeed(std::uint64_t master, std::uint64_t index)
 
 namespace
 {
+
+thread_local bool tl_sweep_worker = false;
 
 TaskResult
 runOne(const Task &task, const SweepContext &ctx)
@@ -75,6 +80,7 @@ runSweep(const std::vector<Task> &tasks, const SweepOptions &opt)
     } else {
         std::atomic<std::size_t> cursor{0};
         const auto worker = [&]() {
+            tl_sweep_worker = true;
             while (true) {
                 const std::size_t i =
                     cursor.fetch_add(1, std::memory_order_relaxed);
@@ -101,6 +107,28 @@ runSweep(const std::vector<Task> &tasks, const SweepOptions &opt)
         if (!r.ok)
             ++rep.failed;
     return rep;
+}
+
+unsigned
+availableCpus()
+{
+    // Read once: a system call per crossbar window (glibc's
+    // hardware_concurrency() even reads /sys) costs more than a
+    // short window's work.
+    static const unsigned cpus = [] {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        if (sched_getaffinity(0, sizeof set, &set) != 0)
+            return 1u;
+        return std::max(1u, static_cast<unsigned>(CPU_COUNT(&set)));
+    }();
+    return cpus;
+}
+
+bool
+onSweepWorker()
+{
+    return tl_sweep_worker;
 }
 
 } // namespace pktbuf::sweep

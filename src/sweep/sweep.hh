@@ -121,6 +121,19 @@ struct SweepReport
 SweepReport runSweep(const std::vector<Task> &tasks,
                      const SweepOptions &opt);
 
+/**
+ * CPUs in this process's affinity mask (at least 1), read once per
+ * process: `taskset -c 0` makes it 1.
+ */
+unsigned availableCpus();
+
+/**
+ * True on a runSweep() pool thread (jobs > 1).  A task that could
+ * fan out itself runs serially there: the pool already fills the
+ * CPUs, and a nested fan-out would run jobs^2 threads.
+ */
+bool onSweepWorker();
+
 } // namespace pktbuf::sweep
 
 #endif // PKTBUF_SWEEP_SWEEP_HH

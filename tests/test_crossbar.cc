@@ -12,12 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "artifact_rows.hh"
+#include "buffer/hybrid_buffer.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "crossbar/crossbar_sim.hh"
@@ -739,6 +742,141 @@ TEST(CrossbarCheckpoint, ForeignOrCorruptEnvelopesAreFatal)
     EXPECT_EQ(e.executed(), 400u);
     const auto out = e.finish();
     EXPECT_TRUE(out.passed) << out.failure;
+}
+
+/**
+ * Drive one fabric to its end in chunks of `chunks` (cycled; 0 = the
+ * whole main phase in one call), checkpointing after every chunk
+ * whose end is in `at`.  Returns the checkpoints by slot plus the
+ * finished outcome's artifact rows and failure text.
+ */
+struct ChunkedRun
+{
+    std::vector<std::pair<std::uint64_t, std::string>> checkpoints;
+    std::string artifact;
+};
+
+ChunkedRun
+runInChunks(const CrossbarConfig &cfg,
+            const std::vector<std::uint64_t> &chunks,
+            const std::vector<std::uint64_t> &at)
+{
+    ChunkedRun r;
+    CrossbarRun run(cfg);
+    std::size_t k = 0;
+    while (run.executed() < cfg.slots) {
+        const std::uint64_t step =
+            chunks.empty() ? cfg.slots : chunks[k++ % chunks.size()];
+        run.runTo(std::min(cfg.slots, run.executed() + step));
+        if (std::find(at.begin(), at.end(), run.executed()) != at.end())
+            r.checkpoints.emplace_back(run.executed(), run.checkpoint());
+    }
+    const auto out = run.finish();
+    r.artifact = outcomeJson(cfg, out) + (out.passed ? "passed" : "FAILED")
+                 + out.failure;
+    return r;
+}
+
+TEST(CrossbarWindow, AnyRunToChunkingIsByteIdentical)
+{
+    // The control plane plans up to 256 slots ahead and a worker
+    // gang steps the inputs through them; windows under 32 slots stay
+    // on the caller.  One runTo() for the whole phase, one per slot
+    // and odd chunks around both thresholds must leave the same
+    // checkpoint bytes at every boundary they share, and finish with
+    // the same artifact.
+    const std::vector<std::uint64_t> odd = {1, 31, 33, 255, 257};
+    constexpr std::uint64_t kSlots = 1200;
+    std::vector<std::uint64_t> bounds;
+    for (std::uint64_t t = 0, k = 0; t < kSlots;) {
+        t = std::min(kSlots, t + odd[k++ % odd.size()]);
+        bounds.push_back(t);
+    }
+    for (const auto kind : kAllKinds) {
+        for (const auto pattern : kAllPatterns) {
+            for (const auto variant : {sim::BufferVariant::Cfds,
+                                       sim::BufferVariant::Rads}) {
+                SCOPED_TRACE(toString(kind) + std::string("/")
+                             + sw::toString(pattern) + "/"
+                             + sim::toString(variant));
+                CrossbarConfig cfg = baseConfig(5, pattern, kSlots);
+                cfg.scheduler = kind;
+                cfg.variant = variant;
+                cfg.load = 0.7;
+                const auto chunked = runInChunks(cfg, odd, bounds);
+                const auto per_slot = runInChunks(cfg, {1}, bounds);
+                const auto whole = runInChunks(cfg, {}, {kSlots});
+                ASSERT_EQ(chunked.checkpoints.size(), bounds.size());
+                EXPECT_TRUE(chunked.checkpoints == per_slot.checkpoints);
+                ASSERT_EQ(whole.checkpoints.size(), 1u);
+                EXPECT_TRUE(whole.checkpoints.back()
+                            == chunked.checkpoints.back());
+                EXPECT_NE(chunked.artifact.find("passed"),
+                          std::string::npos);
+                EXPECT_EQ(chunked.artifact, per_slot.artifact);
+                EXPECT_EQ(chunked.artifact, whole.artifact);
+            }
+        }
+    }
+}
+
+TEST(CrossbarWindow, DroppingRenamingInputsStepOneSlotAtATime)
+{
+    // Renaming promises no admission ahead (a horizon of 0), so every
+    // window is one lockstep slot and a dropped arrival's credit is
+    // re-read after it: a whole-phase runTo() must drop, and match
+    // the per-slot run byte for byte.
+    for (const auto kind : kAllKinds) {
+        SCOPED_TRACE(toString(kind));
+        CrossbarConfig cfg =
+            baseConfig(2, sw::TrafficPattern::Uniform, 20000);
+        cfg.scheduler = kind;
+        cfg.variant = sim::BufferVariant::CfdsRenaming;
+        cfg.load = 1.0;
+        cfg.masterSeed = 1;
+        const std::vector<std::uint64_t> at = {7777, cfg.slots};
+        const auto whole = runInChunks(cfg, {}, {cfg.slots});
+        const auto per_slot = runInChunks(cfg, {1}, at);
+        const auto chunked = runInChunks(cfg, {7777}, at);
+        const auto out = runCrossbar(cfg);
+        ASSERT_TRUE(out.passed) << out.failure;
+        EXPECT_GT(out.report.drops, 0u);
+        EXPECT_TRUE(whole.checkpoints.back()
+                    == per_slot.checkpoints.back());
+        EXPECT_TRUE(chunked.checkpoints == per_slot.checkpoints);
+        EXPECT_EQ(whole.artifact, per_slot.artifact);
+        EXPECT_EQ(whole.artifact, chunked.artifact);
+    }
+}
+
+TEST(CrossbarWindow, AdmitHorizonIsTheSmallestGroupFreeSpace)
+{
+    buffer::BufferConfig bc;
+    bc.params = model::BufferParams{8, 8, 2, 16};
+    EXPECT_EQ(buffer::HybridBuffer(bc).admitHorizon(), UINT64_MAX);
+
+    // 4 groups of 64 cells: each arrival on queue 0 takes one cell
+    // of its group, and the horizon reaches 0 exactly when the
+    // buffer stops admitting there.
+    bc.dramCells = 256;
+    buffer::HybridBuffer buf(bc);
+    ASSERT_EQ(buf.admitHorizon(), 64u);
+    for (std::uint64_t k = 0; k < 64; ++k) {
+        ASSERT_EQ(buf.admitHorizon(), 64u - k);
+        ASSERT_TRUE(buf.wouldAdmit(0));
+        Cell c;
+        c.queue = 0;
+        c.seq = k;
+        c.arrival = buf.now();
+        buf.step(c, kInvalidQueue);
+    }
+    EXPECT_EQ(buf.admitHorizon(), 0u);
+    EXPECT_FALSE(buf.wouldAdmit(0));
+
+    // Renaming (on bounded DRAM, which it requires) promises nothing.
+    bc.renaming = true;
+    bc.logicalQueues = 4;
+    EXPECT_EQ(buffer::HybridBuffer(bc).admitHorizon(), 0u);
 }
 
 TEST(CrossbarFuzz, CrossbarFuzzSmoke)

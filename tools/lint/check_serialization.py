@@ -54,16 +54,19 @@ HOOKS = {kind: rf"({name})\s*\(\s*(?:pktbuf::)?ser::{param}\b"
                                    ("save", r"save\w*", "Writer"),
                                    ("load", r"load\w*", "Reader"))}
 HOOK_RES = {kind: re.compile(r"\b" + pat) for kind, pat in HOOKS.items()}
-# Out-of-line definitions: "Class::hook(" (the class is group 1).
-OUT_OF_LINE_RES = {kind: re.compile(r"\b(\w+)::" + pat)
+# Out-of-line definitions: "A::B::hook(" (the qualifier is group 1).
+OUT_OF_LINE_RES = {kind: re.compile(r"\b((?:\w+::)*\w+)::" + pat)
                    for kind, pat in HOOKS.items()}
 # Load-side checks and rebuilds name members without listing them.
 CHECK_RE = re.compile(r"\b(?:fatal_if|panic_if)\s*(\()|"
                       r"\bif\s*\(\s*io\.reading\(\)\s*\)\s*(\{)?")
 # A save/load body that only hands over to the field list.
 FORWARD_RE = re.compile(r"\bser::(?:save|load)\s*\(|\bfields\s*\(")
-CLASS_RE = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*)"
-                      r"(?:\s+final)?\s*(:[^;{]*)?\{")
+# An out-of-line nested definition "struct A::B {" is class "A::B".
+CLASS_RE = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*(?:::\w+)*)"
+                      r"(?:\s+final)?\s*(:(?!:)[^;{]*)?\{")
+# A nested type's forward declaration ("struct Impl;") is no member.
+FORWARD_DECL_RE = re.compile(r"^(?:class|struct)\s+\w+\s*$")
 MEMBER_SKIP_RE = re.compile(
     r"^\s*(using|typedef|friend|static|template|enum|public|private|"
     r"protected|return|if|for|while|switch|case|goto|break|continue)\b")
@@ -101,7 +104,8 @@ def _member_name(stmt: str) -> str | None:
     # Drop access labels glued to the front of the statement.
     s = re.sub(r"^(?:(?:public|private|protected)\s*:\s*)+", "", s)
     s = s.strip()
-    if not s or "(" in s or MEMBER_SKIP_RE.match(s):
+    if (not s or "(" in s or MEMBER_SKIP_RE.match(s) or
+            FORWARD_DECL_RE.match(s)):
         return None  # a function (or a std::function member)
     # Chop any initializer, then array extents, then take the last
     # identifier: "std::vector<T> foo_ = {}" -> foo_.
@@ -255,11 +259,17 @@ def parse_regex(paths: list[str]) -> dict[str, ClassInfo]:
             else:
                 classes[name] = cls
 
-    # Pass 2: out-of-line hook definitions (hybrid_buffer.cc style).
+    # Pass 2: out-of-line hook definitions (hybrid_buffer.cc style),
+    # owned by the longest known suffix of the qualifier: namespaces
+    # drop off the front, and inline nested classes go by their own
+    # name.
     for st in stripped:
         for kind, hook_re in OUT_OF_LINE_RES.items():
             for m in hook_re.finditer(st.code):
-                cls = classes.get(m.group(1))
+                parts = m.group(1).split("::")
+                cls = next((classes["::".join(parts[k:])]
+                            for k in range(len(parts))
+                            if "::".join(parts[k:]) in classes), None)
                 body = _hook_body(st.code, m)[1]
                 if cls is not None and body is not None:
                     cls.bodies[kind].append(body)
@@ -408,6 +418,43 @@ class TwoLists {
 };
 """
 
+# "struct Outer::Impl { ... }" defined out of line is its own class:
+# its members are not Outer's, and Outer's forward declaration of it
+# is no member either.
+NESTED_FIXTURE = """
+#include "common/serialize.hh"
+class Outer {
+  public:
+    void fields(ser::Io &io);
+  private:
+    struct Impl;
+    unsigned a_ = 0;
+    Impl *impl_ = nullptr;  // ser: derived
+};
+struct Outer::Impl {
+    unsigned threads_ = 0;
+    bool stopping_ = false;
+};
+void Outer::fields(ser::Io &io) { io.u64(a_); }
+"""
+
+NESTED_VIOLATION_FIXTURE = """
+#include "common/serialize.hh"
+class Outer {
+  public:
+    void fields(ser::Io &io) { io.u64(a_); }
+  private:
+    struct Impl;
+    unsigned a_ = 0;
+};
+struct Outer::Impl {
+    void fields(ser::Io &io);
+    unsigned kept_ = 0;
+    unsigned forgotten_ = 0;
+};
+void Outer::Impl::fields(ser::Io &io) { io.u64(kept_); }
+"""
+
 
 def self_test() -> int:
     cases = []
@@ -418,7 +465,10 @@ def self_test() -> int:
                 ("hand-written save/load pair", HAND_PAIR_FIXTURE,
                  False),
                 ("field-less subclass with state", INHERIT_FIXTURE,
-                 False)):
+                 False),
+                ("out-of-line nested class", NESTED_FIXTURE, True),
+                ("out-of-line nested class forgets a member",
+                 NESTED_VIOLATION_FIXTURE, False)):
             path = os.path.join(tmp, "fixture.hh")
             with open(path, "w") as f:
                 f.write(text)

@@ -192,6 +192,29 @@ class Checked {
                        for f in _regex_findings(text))
         self.assertEqual(names, ["b_", "c_"])
 
+    def test_out_of_line_nested_class_is_its_own(self):
+        # "struct Outer::Impl {" must not hand Impl's members to
+        # Outer; a member Impl's own fields() forgets is flagged on
+        # Impl, by its qualified name.
+        text = """
+class Outer {
+  public:
+    void fields(ser::Io &io) { io.u64(a_); }
+  private:
+    struct Impl;
+    unsigned a_ = 0;
+};
+struct Outer::Impl : Base {
+    void fields(ser::Io &io);
+    unsigned kept_ = 0;
+    unsigned forgotten_ = 0;
+};
+void Outer::Impl::fields(ser::Io &io) { io.u64(kept_); }
+"""
+        findings = _regex_findings(text)
+        self.assertEqual([f.message.split()[0] for f in findings],
+                         ["Outer::Impl::forgotten_"])
+
 
 if __name__ == "__main__":
     unittest.main()
