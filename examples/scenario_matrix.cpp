@@ -76,7 +76,7 @@ usage(const char *prog)
                  "  --engine   reference (per-slot loop) | event"
                  " (calendar core);\n"
                  "             identical output either way\n"
-                 "  --jobs     worker threads (0 = all cores);"
+                 "  --jobs     worker threads (0 = all usable CPUs);"
                  " output is\n"
                  "             byte-identical for any value\n"
                  "  --json     write result records as JSON"

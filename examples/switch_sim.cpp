@@ -61,7 +61,7 @@ usage(const char *prog)
         "  --smoke     reduced slots for CI\n"
         "  --list      print the resolved port plans, don't run\n"
         "  --stats     dump the namespaced per-port stat registry\n"
-        "  --jobs      worker threads (0 = all cores); output is\n"
+        "  --jobs      worker threads (0 = all usable CPUs); output is\n"
         "              byte-identical for any value\n"
         "  --json/--csv  write result records ('-' = stdout)\n",
         prog);

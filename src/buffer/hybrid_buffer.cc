@@ -613,28 +613,64 @@ HybridBuffer::recyclePhys(QueueId p)
     replenish_seq_[p] = 0;
 }
 
+bool
+HybridBuffer::advanceIdle(Slot to)
+{
+    if (!event_skip_ || to <= now_)
+        return now_ >= to;
+    // The slots ahead carry no stimulus, and an inert slot changes
+    // nothing the next slot could see, so the conditions below hold
+    // for the whole run; the run ends at the first slot where one of
+    // them is due to fail.
+    Slot span = std::min(to, next_due_) - now_;
+    span = std::min(span, look_.idleShifts());
+    if (latency_)
+        span = std::min(span, latency_->idleShifts());
+    // An interval edge with work: a request to launch, an ECQF
+    // replenish to decide, or a t-SRAM block to claim.
+    if (!sched_->rr().empty() || hmma_.criticalCount() != 0 ||
+        tail_.eligibleCount() != 0)
+        span = std::min(span, next_interval_ - now_);
+    if (span == 0)
+        return false;
+    look_.advance(span);
+    if (latency_)
+        latency_->advance(span);
+    now_ += span;
+    if (next_interval_ < now_) {
+        // The first edge at or after now_: one or two steps of b
+        // after the usual short run, a division only after a long one.
+        const Slot behind = now_ - next_interval_;
+        next_interval_ += behind <= 2 * gran_
+                              ? (behind <= gran_ ? gran_ : 2 * gran_)
+                              : (behind + gran_ - 1) / gran_ * gran_;
+    }
+    return now_ == to;
+}
+
+std::optional<GrantInfo>
+HybridBuffer::runIdle(Slot to)
+{
+    while (!advanceIdle(to)) {
+        if (auto grant = stepSlot(std::nullopt, kInvalidQueue))
+            return grant;
+    }
+    return std::nullopt;
+}
+
 std::optional<GrantInfo>
 HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
 {
-    const Slot now = now_;
-
-    // Event-engine idle-slot skip: with no arrival, no request, no
-    // in-flight reads, empty pipeline registers, an empty RR and no
-    // threshold-eligible tail queue, every phase below is provably a
-    // no-op (the ECQF scan sees no criticals, the tail MMA finds no
-    // eligible queue, the DSA has nothing to launch, no grant is
-    // due), so only the clock advances.  Gated on ECQF
-    // (event_skip_): MDQF replenishes from occupancy deficit alone
-    // and can legitimately act on such a slot.
-    if (event_skip_ && !arrival && request == kInvalidQueue &&
-        completions_.empty() && look_.occupancy() == 0 &&
-        (!latency_ || latency_->occupancy() == 0) &&
-        sched_->rr().empty() && tail_.eligibleCount() == 0) {
-        if (now == next_interval_)
-            next_interval_ += gran_;
-        ++now_;
+    if (!arrival && request == kInvalidQueue && advanceIdle(now_ + 1))
         return std::nullopt;
-    }
+    return stepSlot(arrival, request);
+}
+
+std::optional<GrantInfo>
+HybridBuffer::stepSlot(const std::optional<Cell> &arrival,
+                       QueueId request)
+{
+    const Slot now = now_;
 
     processCompletions(now);
     if (arrival)
@@ -755,6 +791,10 @@ HybridBuffer::fields(ser::Io &io)
             if (io.reading()) {
                 fatal_if(c.phys >= phys_queues_, "checkpoint: in-flight"
                          " read for queue ", c.phys, " of ", phys_queues_);
+                // Every read due by now_ was ingested before the
+                // snapshot; advanceIdle() relies on it.
+                fatal_if(c.at < now_, "checkpoint: in-flight read due"
+                         " at slot ", c.at, ", before the clock ", now_);
                 c.cells = takeSpare(&spare_blocks_);
                 c.cells.resize(gran_);
             }

@@ -63,6 +63,29 @@ class HybridBuffer
     std::optional<GrantInfo>
     step(const std::optional<Cell> &arrival, QueueId request);
 
+    /**
+     * Run the slots from now() up to `to` that carry no stimulus,
+     * for as long as they are *inert*: no read completes, nothing
+     * leaves the lookahead or latency register, and the slot is not
+     * an interval edge with work to do (a request in the RR, a
+     * critical ECQF queue or a t-SRAM queue at the claim threshold).
+     * An inert slot only rotates the two registers and advances the
+     * clock, so the whole run is one O(1) jump.  step() takes the
+     * same path for a stimulus-free slot.  Event engine with ECQF
+     * only; the reference engine and MDQF never leap.
+     *
+     * @return whether now() reached `to`; when not, the slot at
+     *         now() has internal work and must be step()ped
+     */
+    bool advanceIdle(Slot to);
+
+    /**
+     * Run the stimulus-free slots from now() toward `to`, leaping
+     * over the inert ones, until a slot yields a grant.
+     * @return that grant, or nullopt once now() == `to`
+     */
+    std::optional<GrantInfo> runIdle(Slot to);
+
     /** Would an arriving cell for `lq` be admitted right now? */
     bool wouldAdmit(QueueId lq) const;
     /**
@@ -154,6 +177,9 @@ class HybridBuffer
         std::vector<Cell> cells;
     };
 
+    /** step() without the inert-slot test. */
+    std::optional<GrantInfo> stepSlot(const std::optional<Cell> &arrival,
+                                      QueueId request);
     void admitArrival(const Cell &cell);
     void processCompletions(Slot now);
     void headMmaDecide(Slot now);
@@ -183,9 +209,10 @@ class HybridBuffer
     /** Event-calendar execution (BufferConfig::eventCore). */
     bool event_core_;  // ser: config
     /**
-     * Idle-slot skipping is only sound when the head MMA is
-     * lookahead-driven (ECQF): MDQF replenishes from occupancy
-     * deficit alone and can act on slots with no pending request.
+     * Leaping over inert slots (advanceIdle) is only sound when the
+     * head MMA is lookahead-driven (ECQF): MDQF replenishes from
+     * occupancy deficit alone and can act on slots with no pending
+     * request.
      */
     bool event_skip_;  // ser: config
     unsigned phys_queues_;  // ser: config

@@ -88,7 +88,7 @@ struct BufferConfig
      * behavior (grants, drops, stats, checkpoints -- the
      * differential oracle in tests/test_event_core.cc enforces
      * bit-equality), computed via the MMA's event calendar and
-     * quiescent idle-slot skipping instead of per-slot scans.  An
+     * leaps over inert slots instead of per-slot scans.  An
      * execution strategy, not a configuration: deliberately absent
      * from every describe()/fingerprint.
      */

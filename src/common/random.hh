@@ -8,6 +8,7 @@
 #ifndef PKTBUF_COMMON_RANDOM_HH
 #define PKTBUF_COMMON_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 
 #include "logging.hh"
@@ -85,6 +86,31 @@ class Rng
     chance(double p)
     {
         return uniform() < p;
+    }
+
+    /**
+     * chance(p) as one integer compare: hit(chanceThreshold(p)) draws
+     * the same value and returns the same answer.  uniform() is
+     * k * 2^-53 for the integer k = next() >> 11, exactly, so
+     * uniform() < p holds iff k < ceil(p * 2^53).  Hot loops compute
+     * the threshold once.
+     */
+    static std::uint64_t
+    chanceThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;  // also NaN, which chance() never hits
+        if (p >= 1.0)
+            return std::uint64_t{1} << 53;
+        // Scaling by a power of two is exact.
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** Bernoulli trial against a chanceThreshold(). */
+    bool
+    hit(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
     }
 
     /** Checkpoint: the four raw state words. */

@@ -4,11 +4,17 @@
  * MMA lookahead (Section 3) and the CFDS latency register
  * (Section 5.4).  Values enter at the tail, advance one position per
  * shift, and emerge at the head exactly `depth` shifts later.
+ *
+ * The register also knows, in O(1), how many upcoming shifts will
+ * emerge idle (idleShifts()), and can perform that many at once
+ * (advance()) -- what lets the event engine leap over slots whose
+ * pipeline exits are empty.
  */
 
 #ifndef PKTBUF_COMMON_SHIFT_REGISTER_HH
 #define PKTBUF_COMMON_SHIFT_REGISTER_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -25,9 +31,12 @@ class ShiftRegister
   public:
     /** @param depth number of stages; @param idle the empty value. */
     ShiftRegister(std::size_t depth, T idle)
-        : idle_(idle), slots_(depth, idle)
+        : idle_(idle), slots_(depth, idle),
+          exits_(std::bit_ceil(depth + 1))
     {
         panic_if(depth == 0, "ShiftRegister needs depth >= 1");
+        panic_if(depth > UINT32_MAX, "ShiftRegister depth ", depth,
+                 " beyond the 32-bit exit counts");
     }
 
     /** Push a value into the tail, return what falls off the head. */
@@ -35,14 +44,53 @@ class ShiftRegister
     shift(const T &incoming)
     {
         T out = slots_[head_];
-        if (!(out == idle_))
-            --live_;
-        if (!(incoming == idle_))
-            ++live_;
+        const bool leaves = !(out == idle_);
+        const bool enters = !(incoming == idle_);
+        // Branch-free: the ring always has a free cell after the live
+        // entries, so the store is harmless when `incoming` is idle.
+        const std::size_t mask = exits_.size() - 1;
+        exit_head_ = (exit_head_ + leaves) & mask;
+        live_ -= leaves;
+        exits_[(exit_head_ + live_) & mask] =
+            shifts_ + static_cast<std::uint32_t>(slots_.size());
+        live_ += enters;
         slots_[head_] = incoming;
         if (++head_ == slots_.size())
             head_ = 0;
+        ++shifts_;
         return out;
+    }
+
+    /**
+     * Shifts that will emerge idle before the oldest live entry
+     * does, given idle input: 0 when the next shift() returns a live
+     * entry, UINT64_MAX when the register holds none.  O(1).
+     */
+    std::uint64_t
+    idleShifts() const
+    {
+        return live_ ? static_cast<std::uint32_t>(exits_[exit_head_] -
+                                                  shifts_)
+                     : UINT64_MAX;
+    }
+
+    /**
+     * Perform `n` idle shifts at once; every one of them must emerge
+     * idle (n <= idleShifts()).  O(1) and division-free: a register
+     * with a live entry rotates by less than its depth, and an empty
+     * one looks the same at any rotation, so it is not rotated.
+     */
+    void
+    advance(std::uint64_t n)
+    {
+        panic_if(n > idleShifts(), "advance(", n, ") would drop a live"
+                 " entry ", idleShifts(), " shifts ahead");
+        shifts_ += static_cast<std::uint32_t>(n);
+        if (live_ == 0)
+            return;
+        head_ += static_cast<std::size_t>(n);
+        if (head_ >= slots_.size())
+            head_ -= slots_.size();
     }
 
     /** Value that will emerge after `ahead` more shifts (0 = next). */
@@ -71,9 +119,7 @@ class ShiftRegister
             visit(slots_[i]);
     }
 
-    /** Number of non-idle entries currently held.  O(1): maintained
-     *  incrementally on shift() -- the event engine polls this every
-     *  slot to detect quiescence. */
+    /** Number of non-idle entries currently held.  O(1). */
     std::size_t
     occupancy() const
     {
@@ -87,7 +133,7 @@ class ShiftRegister
         for (auto &v : slots_)
             v = idle_;
         head_ = 0;
-        live_ = 0;
+        rebuildExits();
     }
 
     /**
@@ -97,8 +143,8 @@ class ShiftRegister
      * Rotation-normalized: stages are written head-first with a
      * zero cursor, so two registers holding the same logical
      * contents serialize identically no matter how their storage is
-     * rotated.  (The event engine's idle-slot skip freezes the
-     * cursor while the reference engine rotates it every slot; the
+     * rotated.  (advance() leaves an empty register's cursor where
+     * it is while the reference engine rotates it every slot; the
      * two must still checkpoint byte-for-byte equal.)  Behavior is
      * rotation-invariant, so loading the normalized form is
      * indistinguishable from the original.
@@ -116,19 +162,41 @@ class ShiftRegister
         }
         for (std::size_t i = 0; i < slots_.size(); ++i)
             slots_[(head_ + i) % slots_.size()].fields(io);
-        if (io.reading()) {
-            live_ = 0;
-            for (const auto &v : slots_)
-                live_ += v == idle_ ? 0 : 1;
-        }
+        if (io.reading())
+            rebuildExits();
     }
 
   private:
+    /** Re-derive the live count and the exit ring from the stages:
+     *  the entry i stages from the head emerges on shift i. */
+    void
+    rebuildExits()
+    {
+        shifts_ = 0;
+        live_ = 0;
+        exit_head_ = 0;
+        std::uint32_t i = 0;
+        forEachFromHead([&](const T &v) {
+            if (!(v == idle_))
+                exits_[live_++] = i;
+            ++i;
+        });
+    }
+
     T idle_;  // ser: config
     std::vector<T> slots_;
     std::size_t head_ = 0;
     /** Count of non-idle stages; rebuilt on restore. */
     std::size_t live_ = 0;  // ser: derived
+    /** Shifts made since construction or the last restore, modulo
+     *  2^32: only differences below the depth are ever taken. */
+    std::uint32_t shifts_ = 0;  // ser: derived
+    /** Ring of the live entries' exit shifts (the shifts_ value of
+     *  the shift that returns each), oldest at exit_head_.  Its
+     *  power-of-two size exceeds the depth, so a cell past the live
+     *  entries is always free. */
+    std::vector<std::uint32_t> exits_;  // ser: derived
+    std::size_t exit_head_ = 0;  // ser: derived
 };
 
 } // namespace pktbuf

@@ -64,6 +64,18 @@ unsigned hotCount(unsigned requested, unsigned ports);
 constexpr unsigned kMaxPorts = 1024;
 
 /**
+ * Largest queue count per switch port.  A port keeps about 430 bytes
+ * of state per queue (per-queue SRAM, DRAM, MMA and DSS bookkeeping,
+ * the lookahead and latency stages, about 8 per queue at b = 2, the
+ * workload's credits and the golden checker), and about 770 with
+ * renaming -- the peak-RSS step from building and stepping a
+ * one-port 1024-queue switch to a 65536-queue one.  2^20 queues is
+ * thus at most about 800 MB per port; without the bound a huge count
+ * dies in the allocator (4e9 queues would need terabytes).
+ */
+constexpr unsigned kMaxQueues = 1u << 20;
+
+/**
  * fatal() on pattern knobs no fabric can run: zero ports or more
  * than kMaxPorts, a load that is not positive, an incast victim out
  * of range, or a hotspot or incast fraction outside (0, 1), which

@@ -8,24 +8,50 @@ SimRunner::SimRunner(buffer::HybridBuffer &buf, Workload &wl,
     : buf_(buf), wl_(wl), check_(check), checker_(wl.queues())
 {}
 
+void
+SimRunner::onGrant(const buffer::GrantInfo &grant)
+{
+    if (check_)
+        checker_.onGrant(grant.logicalQueue, grant.cell);
+    ++grants_;
+    delay_.sample(
+        static_cast<double>(buf_.now() - 1 - grant.cell.arrival));
+}
+
 RunResult
 SimRunner::run(std::uint64_t slots)
 {
     buffer::HybridBuffer &buf = buf_;
     const auto admit = [&buf](QueueId q) { return buf.wouldAdmit(q); };
-    for (std::uint64_t i = 0; i < slots; ++i) {
+    const auto stepSlot = [&]() {
         const Stimulus s = wl_.step(buf.now(), admit);
         if (s.arrival)
             ++arrivals_;
-        const auto grant = buf.step(s.arrival, s.request);
-        if (grant) {
-            if (check_)
-                checker_.onGrant(grant->logicalQueue, grant->cell);
-            ++grants_;
-            delay_.sample(static_cast<double>(buf.now() - 1 -
-                                              grant->cell.arrival));
-        }
+        if (const auto grant = buf.step(s.arrival, s.request))
+            onGrant(*grant);
         ++slots_;
+    };
+    if (!wl_.leaps()) {
+        for (std::uint64_t i = 0; i < slots; ++i)
+            stepSlot();
+    } else {
+        // The workload pre-rolls the slots without stimulus; the
+        // buffer leaps over their inert stretches and steps the rest,
+        // whose grants are checked as usual.  Then the slot with
+        // stimulus, unless `slots` ran out first.
+        std::uint64_t left = slots;
+        while (left > 0) {
+            const std::uint64_t idle = wl_.idleRun(left);
+            const Slot to = buf.now() + idle;
+            while (const auto grant = buf.runIdle(to))
+                onGrant(*grant);
+            slots_ += idle;
+            left -= idle;
+            if (left > 0) {
+                stepSlot();
+                --left;
+            }
+        }
     }
     RunResult r;
     r.slots = slots_;

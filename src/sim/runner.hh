@@ -58,6 +58,9 @@ class SimRunner
     void fields(ser::Io &io);
 
   private:
+    /** Check and account a grant of the slot just stepped. */
+    void onGrant(const buffer::GrantInfo &grant);
+
     buffer::HybridBuffer &buf_;  // ser: config
     Workload &wl_;  // ser: config
     bool check_;  // ser: config

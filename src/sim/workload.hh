@@ -14,6 +14,7 @@
 #ifndef PKTBUF_SIM_WORKLOAD_HH
 #define PKTBUF_SIM_WORKLOAD_HH
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -79,12 +80,14 @@ class Workload
             c.arrival = now;
             s.arrival = c;
             ++credit_[aq];
+            ++total_credit_;
         }
         const QueueId rq = requestQueue(now);
         if (rq != kInvalidQueue) {
             panic_if(credit_[rq] == 0,
                      "workload requested unavailable cell, queue ", rq);
             --credit_[rq];
+            --total_credit_;
             s.request = rq;
         }
         return s;
@@ -107,7 +110,29 @@ class Workload
     {
         panic_if(credit_[q] == 0, "no credit on queue ", q);
         --credit_[q];
+        --total_credit_;
     }
+
+    /**
+     * Whether SimRunner::run should pre-roll with idleRun().  It reads
+     * this once per call to choose its loop, so a workload that does
+     * not leap pays nothing per slot.
+     */
+    virtual bool leaps() const { return false; }
+
+    /**
+     * Pre-roll the stimulus-free slots ahead.  Draws the RNG exactly
+     * as up to `max` step() calls would, stops at the first slot
+     * with an arrival (admitted or not) or with a request that finds
+     * credit, and leaves the RNG at the start of that slot.  Credits
+     * cannot change on a slot without stimulus, so the decision
+     * needs nothing but the RNG and the credit total.
+     *
+     * @return the number of stimulus-free slots before that one (0
+     *         for a workload that does not leap); the caller runs
+     *         them without calling step()
+     */
+    virtual std::uint64_t idleRun(std::uint64_t) { return 0; }
 
     virtual std::string name() const = 0;
 
@@ -129,6 +154,11 @@ class Workload
             io.u64(s);
         io.u64(drops_);
         extraFields(io);
+        if (io.reading()) {
+            total_credit_ = 0;
+            for (const auto c : credit_)
+                total_credit_ += c;
+        }
     }
 
     void save(ser::Writer &w) const { ser::save(w, *this); }
@@ -194,11 +224,63 @@ class Workload
         panic("uniformRequestable scan overran the credited count");
     }
 
+    /**
+     * leaps() for a pattern drawing coinIdleRun()'s two coins per
+     * slot.  idleRun() draws the coins of the slot it stops at twice
+     * (once more in step()), so it pays only where most slots carry
+     * no stimulus: where both coins miss with probability
+     * (1 - p)^2 >= 1/2, i.e. p <= 1 - sqrt(1/2).
+     */
+    static bool
+    coinLeaps(std::uint64_t coin)
+    {
+        static const std::uint64_t limit =
+            Rng::chanceThreshold(1.0 - std::sqrt(0.5));
+        return coin <= limit;
+    }
+
+    /**
+     * idleRun() for a pattern whose stimulus-free slot draws two
+     * chanceThreshold() coins, arrival then request, with threshold
+     * `coin`.  A landed arrival coin, or a landed request coin while
+     * any queue has credit, ends the run.  On a request coin that
+     * finds no credit the legacy picker still draws its random start
+     * (randomRequestable); the unbiased one draws nothing.
+     */
+    std::uint64_t
+    coinIdleRun(std::uint64_t max, std::uint64_t coin, bool unbiased)
+    {
+        std::uint64_t n = 0;
+        if (total_credit_ > 0) {
+            for (; n < max; ++n) {
+                const Rng at = rng_;
+                if (rng_.hit(coin) || rng_.hit(coin)) {
+                    rng_ = at;
+                    break;
+                }
+            }
+            return n;
+        }
+        for (; n < max; ++n) {
+            const Rng at = rng_;
+            if (rng_.hit(coin)) {
+                rng_ = at;
+                break;
+            }
+            if (rng_.hit(coin) && !unbiased)
+                rng_.next();  // the legacy picker's start draw
+        }
+        return n;
+    }
+
     unsigned queues_;  // ser: config
     Rng rng_;
 
   private:
     std::vector<std::uint64_t> credit_;
+    /** Sum of credit_: whether any request could find a cell.
+     *  Rebuilt on restore. */
+    std::uint64_t total_credit_ = 0;  // ser: derived
     std::vector<SeqNum> next_seq_;
     std::uint64_t drops_ = 0;
 };
@@ -266,17 +348,25 @@ class UniformRandom : public Workload
   public:
     UniformRandom(unsigned queues, std::uint64_t seed,
                   double load = 1.0, bool unbiased_requests = false)
-        : Workload(queues, seed), load_(load),
+        : Workload(queues, seed), coin_(Rng::chanceThreshold(load)),
           unbiased_(unbiased_requests)
     {}
 
     std::string name() const override { return "uniform-random"; }
 
+    bool leaps() const override { return coinLeaps(coin_); }
+
+    std::uint64_t
+    idleRun(std::uint64_t max) override
+    {
+        return coinIdleRun(max, coin_, unbiased_);
+    }
+
   protected:
     QueueId
     arrivalQueue(Slot) override
     {
-        if (!rng_.chance(load_))
+        if (!rng_.hit(coin_))
             return kInvalidQueue;
         return static_cast<QueueId>(rng_.below(queues_));
     }
@@ -284,13 +374,15 @@ class UniformRandom : public Workload
     QueueId
     requestQueue(Slot) override
     {
-        if (!rng_.chance(load_))
+        if (!rng_.hit(coin_))
             return kInvalidQueue;
         return unbiased_ ? uniformRequestable() : randomRequestable();
     }
 
   private:
-    double load_;  // ser: config
+    /** Per-slot arrival and request probability, as a
+     *  Rng::chanceThreshold(). */
+    std::uint64_t coin_;  // ser: config
     bool unbiased_;  // ser: config
 };
 
@@ -305,17 +397,26 @@ class BurstyOnOff : public Workload
     BurstyOnOff(unsigned queues, std::uint64_t seed,
                 std::uint64_t burst_len = 256, double load = 1.0,
                 bool unbiased_requests = false)
-        : Workload(queues, seed), burst_len_(burst_len), load_(load),
+        : Workload(queues, seed), burst_len_(burst_len),
+          coin_(Rng::chanceThreshold(load)),
           unbiased_(unbiased_requests)
     {}
 
     std::string name() const override { return "bursty-on-off"; }
 
+    bool leaps() const override { return coinLeaps(coin_); }
+
+    std::uint64_t
+    idleRun(std::uint64_t max) override
+    {
+        return coinIdleRun(max, coin_, unbiased_);
+    }
+
   protected:
     QueueId
     arrivalQueue(Slot) override
     {
-        if (!rng_.chance(load_))
+        if (!rng_.hit(coin_))
             return kInvalidQueue;
         if (remaining_ == 0) {
             hot_ = static_cast<QueueId>(rng_.below(queues_));
@@ -328,7 +429,7 @@ class BurstyOnOff : public Workload
     QueueId
     requestQueue(Slot) override
     {
-        if (!rng_.chance(load_))
+        if (!rng_.hit(coin_))
             return kInvalidQueue;
         return unbiased_ ? uniformRequestable() : randomRequestable();
     }
@@ -342,7 +443,9 @@ class BurstyOnOff : public Workload
 
   private:
     std::uint64_t burst_len_;  // ser: config
-    double load_;  // ser: config
+    /** Per-slot arrival and request probability, as a
+     *  Rng::chanceThreshold(). */
+    std::uint64_t coin_;  // ser: config
     bool unbiased_;  // ser: config
     QueueId hot_ = 0;
     std::uint64_t remaining_ = 0;

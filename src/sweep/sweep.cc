@@ -58,12 +58,7 @@ runSweep(const std::vector<Task> &tasks, const SweepOptions &opt)
     SweepReport rep;
     rep.results.resize(tasks.size());
 
-    unsigned jobs = opt.jobs;
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
+    unsigned jobs = opt.jobs ? opt.jobs : availableCpus();
     if (jobs > tasks.size())
         jobs = static_cast<unsigned>(tasks.size());
     if (jobs == 0)

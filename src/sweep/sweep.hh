@@ -82,7 +82,7 @@ struct Task
 /** Sweep-wide knobs. */
 struct SweepOptions
 {
-    /** Worker threads; 1 = run inline, 0 = hardware concurrency. */
+    /** Worker threads; 1 = run inline, 0 = availableCpus(). */
     unsigned jobs = 1;
     /** Master seed that every shard seed derives from. */
     std::uint64_t masterSeed = 1;

@@ -73,6 +73,9 @@ planPorts(const SwitchConfig &cfg)
     fabric::checkKnobs("switch", cfg.ports, cfg.load, cfg.pattern,
                        cfg.incastVictim, cfg.hotFraction);
     fatal_if(cfg.queues == 0, "switch needs at least one queue");
+    fatal_if(cfg.queues > fabric::kMaxQueues, "switch has ", cfg.queues,
+             " queues per port, more than the limit of ",
+             fabric::kMaxQueues);
 
     const double total = cfg.ports * cfg.load;
     const unsigned hot = fabric::hotCount(cfg.hotPorts, cfg.ports);

@@ -203,7 +203,7 @@ struct SwitchOutcome
 
 /**
  * Run a list of port plans: shard the ports onto the sweep engine's
- * thread pool (`jobs` workers; 1 = inline, 0 = hardware concurrency)
+ * thread pool (`jobs` workers; 1 = inline, 0 = sweep::availableCpus())
  * and aggregate the outcomes in port order.  Because every plan is
  * self-contained, the result -- including every byte of the derived
  * artifacts -- is independent of `jobs` and of the plans' positions

@@ -8,7 +8,8 @@
  * counts the allocations made inside 65,536 more HybridBuffer::step
  * calls, which must be zero (see countStepAllocs for how container
  * growth is kept out of the count).  The workload that drives the
- * buffer runs outside the counted calls.
+ * buffer runs outside the counted calls, except in
+ * IdleLegThroughTheRunner, which counts a whole SimRunner::run.
  *
  * Renaming legs are not covered: RenamingTable::onGrant returns a
  * fresh vector of recycled queues, and its chains are deques, so a
@@ -21,6 +22,7 @@
 #include <new>
 
 #include "buffer/hybrid_buffer.hh"
+#include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/workload.hh"
 
@@ -231,6 +233,37 @@ TEST(AllocFree, IdleLeg)
     s.queues = 64;
     s.load = 0.05;
     expectAllocationFree(s);
+}
+
+TEST(AllocFree, IdleLegThroughTheRunner)
+{
+    // SimRunner::run pre-rolls the workload's idle slots and leaps the
+    // buffer over the inert ones (runIdle); that path allocates
+    // nothing either.  Same warm-up and replay as countStepAllocs,
+    // with the whole run() counted, workload and checker included.
+    sim::Scenario s = saturatedLeg(true);
+    s.workload = sim::WorkloadKind::Bernoulli;
+    s.queues = 64;
+    s.load = 0.05;
+    auto wl = sim::makeWorkload(s);
+    buffer::HybridBuffer buf(s.bufferConfig());
+    sim::SimRunner(buf, *wl, false).run(kWarmSlots);
+    ser::Writer w;
+    wl->save(w);
+    buf.save(w);
+    const std::string warm = w.bytes();
+    sim::SimRunner(buf, *wl, false).run(kCountedSlots);
+    ser::Reader r(warm);
+    wl->load(r);
+    buf.load(r);
+    // The checker restarts at this point, so it stays off.
+    sim::SimRunner runner(buf, *wl, false);
+    g_counting = true;
+    const auto res = runner.run(kCountedSlots);
+    g_counting = false;
+    EXPECT_GT(res.grants, 0u);
+    EXPECT_EQ(g_allocs, 0u);
+    g_allocs = 0;
 }
 
 TEST(AllocFree, RadsLeg)

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "buffer/hybrid_buffer.hh"
@@ -203,6 +204,200 @@ TEST(EventCoreOracle, CrossEngineRestore)
             EXPECT_EQ(recordBytes(s, via_ref), expect);
         }
     }
+}
+
+// ------------------------------------------------- idle-heavy legs
+
+/**
+ * Legs at loads 0.02-0.1, where most slots are inert and the event
+ * engine leaps over them: RADS, CFDS with the legacy and the bursty
+ * pattern, renaming, and a timed-DRAM family (unbiased picker).
+ */
+std::vector<sim::Scenario>
+idleLegs()
+{
+    const std::vector<std::pair<std::string, double>> want = {
+        {"rads_bernoulli_q8_B8_b8", 0.02},
+        {"cfds_bernoulli_q16_B8_b2", 0.05},
+        {"cfds_bursty_q8_B8_b2", 0.1},
+        {"renaming_bernoulli_q8_B8_b2_p16", 0.1},
+        {"cfds_bernoulli_q8_B8_b2_refresh", 0.05},
+    };
+    auto all = sim::defaultMatrix();
+    const auto timing = sim::timingMatrix();
+    all.insert(all.end(), timing.begin(), timing.end());
+    std::vector<sim::Scenario> picked;
+    for (const auto &[name, load] : want) {
+        for (auto s : all) {
+            if (s.name() == name) {
+                s.load = load;
+                s.slots = 6000;
+                picked.push_back(s);
+            }
+        }
+    }
+    EXPECT_EQ(picked.size(), want.size());
+    return picked;
+}
+
+TEST(EventCoreOracle, IdleLegsCheckpointLikeTheReferenceEngine)
+{
+    for (const auto &s : idleLegs()) {
+        SCOPED_TRACE(s.describe());
+        soak::ScenarioRun ref(s);
+        const sim::Scenario evt_leg = eventTwin(s);
+        soak::ScenarioRun evt(evt_leg);
+        for (const std::uint64_t at :
+             std::vector<std::uint64_t>{1, 97, 1000, 2501, 4096, s.slots}) {
+            SCOPED_TRACE("at slot " + std::to_string(at));
+            ref.runTo(at);
+            evt.runTo(at);
+            EXPECT_EQ(ref.checkpoint(), evt.checkpoint());
+        }
+        const auto ref_out = ref.finish();
+        const auto evt_out = evt.finish();
+        EXPECT_TRUE(evt_out.passed) << evt_out.failure;
+        EXPECT_GT(evt_out.run.grants, 0u);
+        expectIdenticalOutcomes(s, ref_out, evt_leg, evt_out);
+    }
+}
+
+/** Buffer, workload and runner bytes of an MDQF leg (no Scenario
+ *  knob selects MDQF) run through SimRunner to each slot of `at`. */
+std::vector<std::string>
+mdqfCheckpoints(bool event_engine, const std::vector<std::uint64_t> &at)
+{
+    sim::Scenario s;
+    s.variant = sim::BufferVariant::Cfds;
+    s.workload = sim::WorkloadKind::Bernoulli;
+    s.queues = 8;
+    s.granRads = 8;
+    s.gran = 2;
+    s.groups = 4;
+    s.load = 0.05;
+    s.seed = 5;
+    s.eventEngine = event_engine;
+    auto cfg = s.bufferConfig();
+    cfg.mma = buffer::MmaKind::Mdqf;
+    buffer::HybridBuffer buf(cfg);
+    const auto wl = sim::makeWorkload(s);
+    sim::SimRunner runner(buf, *wl);
+    std::vector<std::string> out;
+    for (const auto slot : at) {
+        runner.run(slot - buf.now());
+        ser::Writer w;
+        buf.save(w);
+        wl->save(w);
+        ser::save(w, runner);
+        out.push_back(w.bytes());
+    }
+    return out;
+}
+
+TEST(EventCoreOracle, IdleMdqfLegSteppedPerSlotMatchesReference)
+{
+    // MDQF replenishes from occupancy deficit alone, so the event
+    // engine never leaps it; its bytes must still match.
+    const std::vector<std::uint64_t> at = {1, 333, 2048, 5000};
+    EXPECT_EQ(mdqfCheckpoints(false, at), mdqfCheckpoints(true, at));
+}
+
+TEST(EventCoreOracle, AnyRunToChunkingMatchesAnUnbrokenRun)
+{
+    // runTo boundaries cut the workload's pre-rolled idle runs and
+    // the buffer's leaps.  A run in chunks of any length 1..64, on
+    // either engine, must checkpoint at every boundary exactly as a
+    // reference run that went there in one call.
+    sim::Scenario s = idleLegs()[1];
+    s.slots = 640;
+    std::vector<std::string> unbroken(s.slots + 1);
+    for (std::uint64_t t = 1; t <= s.slots; ++t) {
+        soak::ScenarioRun r(s);
+        r.runTo(t);
+        unbroken[t] = r.checkpoint();
+    }
+    for (const bool event_engine : {false, true}) {
+        sim::Scenario leg = s;
+        leg.eventEngine = event_engine;
+        for (std::uint64_t len = 1; len <= 64; ++len) {
+            soak::ScenarioRun r(leg);
+            for (std::uint64_t t = len; t <= s.slots; t += len) {
+                r.runTo(t);
+                if (r.checkpoint() != unbroken[t]) {
+                    ADD_FAILURE() << "engine " << event_engine
+                                  << ", chunks of " << len
+                                  << ": first mismatch at slot " << t;
+                    break;
+                }
+            }
+        }
+    }
+}
+
+TEST(EventCoreLeap, AdvanceIdleStopsAtEachInternalEvent)
+{
+    sim::Scenario s;
+    s.variant = sim::BufferVariant::Cfds;
+    s.queues = 4;
+    s.granRads = 8;
+    s.gran = 2;
+    s.groups = 4;
+    s.eventEngine = true;
+    buffer::HybridBuffer buf(s.bufferConfig());
+    const Slot far = 1ull << 40;
+    // An empty buffer leaps any distance in one call.
+    EXPECT_TRUE(buf.advanceIdle(1000));
+    EXPECT_EQ(buf.now(), 1000u);
+
+    // One cell of queue 0, requested on the next slot.
+    Cell c;
+    c.queue = 0;
+    c.arrival = buf.now();
+    EXPECT_FALSE(buf.step(c, kInvalidQueue));
+    const Slot entered = buf.now();
+    EXPECT_FALSE(buf.step(std::nullopt, 0));
+    // Queue 0 is now critical: the next interval edge replenishes it
+    // (through the bypass, the cell is still in the t-SRAM).
+    ASSERT_EQ(buf.now() % s.gran, 0u);
+    EXPECT_FALSE(buf.advanceIdle(far));
+    EXPECT_EQ(buf.now(), entered + 1);
+    EXPECT_FALSE(buf.step(std::nullopt, kInvalidQueue));
+    // Then nothing happens until the request leaves the lookahead
+    // ...
+    EXPECT_FALSE(buf.advanceIdle(far));
+    EXPECT_EQ(buf.now(), entered + buf.lookaheadDepth());
+    EXPECT_FALSE(buf.step(std::nullopt, kInvalidQueue));
+    // ... and the latency register, where the grant is due.
+    EXPECT_FALSE(buf.advanceIdle(far));
+    EXPECT_EQ(buf.now(), entered + buf.pipelineDepth());
+    const auto g = buf.step(std::nullopt, kInvalidQueue);
+    ASSERT_TRUE(g);
+    EXPECT_EQ(g->logicalQueue, 0u);
+    EXPECT_EQ(g->cell.seq, 0u);
+    // Empty again: `to` is reached.
+    EXPECT_TRUE(buf.advanceIdle(far));
+    EXPECT_EQ(buf.now(), far);
+}
+
+TEST(EventCoreLeap, ReferenceEngineAndMdqfNeverLeap)
+{
+    sim::Scenario s;
+    s.variant = sim::BufferVariant::Cfds;
+    s.queues = 4;
+    s.granRads = 8;
+    s.gran = 2;
+    s.groups = 4;
+    buffer::HybridBuffer ref(s.bufferConfig());
+    EXPECT_FALSE(ref.advanceIdle(10));
+    EXPECT_EQ(ref.now(), 0u);
+    s.eventEngine = true;
+    auto cfg = s.bufferConfig();
+    cfg.mma = buffer::MmaKind::Mdqf;
+    buffer::HybridBuffer mdqf(cfg);
+    EXPECT_FALSE(mdqf.advanceIdle(10));
+    EXPECT_EQ(mdqf.now(), 0u);
+    // Reaching `to` is trivially true when already there.
+    EXPECT_TRUE(mdqf.advanceIdle(0));
 }
 
 // --------------------------------------------------------- fuzz smoke

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "common/shift_register.hh"
 
 using namespace pktbuf;
@@ -97,6 +100,76 @@ TEST(ShiftRegisterLongRun, MillionShiftsKeepFifoOrder)
         const int out = sr.shift(i);
         EXPECT_EQ(out, i < 7 ? -1 : i - 7);
     }
+}
+
+TEST(ShiftRegisterLeap, IdleShiftsCountsToTheOldestLiveEntry)
+{
+    ShiftRegister<int> sr(5, 0);
+    EXPECT_EQ(sr.idleShifts(), UINT64_MAX);
+    sr.shift(7);
+    sr.shift(0);
+    sr.shift(8);
+    // Stages in emergence order: [0, 0, 7, 0, 8].
+    EXPECT_EQ(sr.idleShifts(), 2u);
+    sr.advance(2);
+    EXPECT_EQ(sr.idleShifts(), 0u);
+    EXPECT_EQ(sr.shift(0), 7);
+    EXPECT_EQ(sr.idleShifts(), 1u);
+    // A leap may not drop a live entry.
+    EXPECT_THROW(sr.advance(2), PanicError);
+    sr.advance(1);
+    EXPECT_EQ(sr.shift(0), 8);
+    EXPECT_EQ(sr.idleShifts(), UINT64_MAX);
+    // An empty register leaps any distance.
+    sr.advance(1000000);
+    sr.shift(9);
+    EXPECT_EQ(sr.idleShifts(), 4u);
+}
+
+TEST(ShiftRegisterLeap, AdvanceEqualsIdleShifts)
+{
+    // Leaping over the idle exits and shifting one at a time give
+    // the same register, through many wraps of the storage and of
+    // the exit ring (which grows past its first capacity of 8).
+    ShiftRegister<int> leap(37, -1);
+    ShiftRegister<int> walk(37, -1);
+    std::uint64_t x = 1;
+    for (int i = 0; i < 20000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const int in = (x >> 60) < 6 ? i : -1;
+        ASSERT_EQ(leap.shift(in), walk.shift(in)) << "shift " << i;
+        const std::uint64_t n =
+            std::min<std::uint64_t>(leap.idleShifts(), (x >> 33) % 5);
+        leap.advance(n);
+        for (std::uint64_t k = 0; k < n; ++k)
+            ASSERT_EQ(walk.shift(-1), -1);
+        ASSERT_EQ(leap.idleShifts(), walk.idleShifts());
+        ASSERT_EQ(leap.occupancy(), walk.occupancy());
+    }
+}
+
+TEST(ShiftRegisterLeap, RestoreRebuildsTheExitRing)
+{
+    struct Entry
+    {
+        std::uint32_t v = 0;
+        bool operator==(const Entry &o) const { return v == o.v; }
+        void fields(ser::Io &io) { io.u32(v); }
+    };
+    ShiftRegister<Entry> a(6, Entry{});
+    for (std::uint32_t v : {0u, 4u, 0u, 0u, 5u, 6u, 0u})
+        a.shift(Entry{v});
+    ser::Writer w;
+    ser::save(w, a);
+    ShiftRegister<Entry> b(6, Entry{});
+    ser::Reader r(w.bytes());
+    ser::load(r, b);
+    EXPECT_EQ(b.idleShifts(), a.idleShifts());
+    for (int i = 0; i < 6; ++i) {
+        EXPECT_EQ(b.idleShifts(), a.idleShifts()) << "shift " << i;
+        EXPECT_EQ(b.shift(Entry{}).v, a.shift(Entry{}).v);
+    }
+    EXPECT_EQ(b.idleShifts(), UINT64_MAX);
 }
 
 } // namespace

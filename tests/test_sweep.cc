@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 #include <string>
@@ -100,7 +101,27 @@ TEST(SweepEngine, FailurePropagation)
     EXPECT_NE(err.find("golden model"), std::string::npos) << err;
 }
 
-/** Reduced scenario legs so three sweeps stay fast. */
+TEST(SweepEngine, ZeroJobsMeansTheCpusThisProcessMayUse)
+{
+    // jobs = 0 sizes the pool by the affinity mask (what `taskset`
+    // restricts), never by the host's core count, and never above
+    // the task count.
+    for (const std::size_t n : {1u, 3u, 64u}) {
+        const std::vector<Task> tasks(
+            n, Task{"t", [](const SweepContext &) {
+                        return TaskResult{};
+                    }});
+        SweepOptions opt;
+        opt.jobs = 0;
+        const auto rep = runSweep(tasks, opt);
+        EXPECT_EQ(rep.failed, 0u);
+        EXPECT_EQ(rep.jobs,
+                  std::min<std::size_t>(n, availableCpus()))
+            << n << " tasks";
+    }
+}
+
+/** Reduced scenario legs so four sweeps stay fast. */
 std::vector<sim::Scenario>
 tinyMatrix()
 {
@@ -113,12 +134,13 @@ tinyMatrix()
 TEST(SweepDeterminism, JsonByteIdenticalAcrossJobs)
 {
     // The acceptance contract of the whole subsystem: same master
-    // seed, --jobs 1/4/8, byte-identical aggregated JSON (and text).
+    // seed, --jobs 1/4/8/0 (0 = availableCpus()), byte-identical
+    // aggregated JSON (and text).
     const auto legs = tinyMatrix();
-    std::string json[3];
-    std::string text[3];
-    const unsigned jobs[3] = {1, 4, 8};
-    for (int k = 0; k < 3; ++k) {
+    std::string json[4];
+    std::string text[4];
+    const unsigned jobs[4] = {1, 4, 8, 0};
+    for (int k = 0; k < 4; ++k) {
         auto tasks = makeScenarioTasks(legs, /*deriveSeeds=*/false);
         SweepOptions opt;
         opt.jobs = jobs[k];
@@ -130,10 +152,10 @@ TEST(SweepDeterminism, JsonByteIdenticalAcrossJobs)
         for (const auto &r : rep.results)
             text[k] += r.text;
     }
-    EXPECT_EQ(json[0], json[1]);
-    EXPECT_EQ(json[0], json[2]);
-    EXPECT_EQ(text[0], text[1]);
-    EXPECT_EQ(text[0], text[2]);
+    for (int k = 1; k < 4; ++k) {
+        EXPECT_EQ(json[0], json[k]) << "jobs " << jobs[k];
+        EXPECT_EQ(text[0], text[k]) << "jobs " << jobs[k];
+    }
     // And the artifact is non-trivial: every leg contributed a row.
     for (const auto &leg : legs)
         EXPECT_NE(json[0].find(leg.name()), std::string::npos);

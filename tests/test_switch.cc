@@ -99,6 +99,13 @@ TEST(SwitchPlan, ImpossibleKnobsAreFatal)
     cfg = baseConfig(4, TrafficPattern::Incast);
     cfg.hotFraction = 1.0;
     EXPECT_THROW(planPorts(cfg), FatalError);
+    // A queue count past the bound fails before any per-queue
+    // allocation; the bound itself plans.
+    cfg = baseConfig(1, TrafficPattern::Uniform);
+    cfg.queues = fabric::kMaxQueues + 1;
+    EXPECT_THROW(planPorts(cfg), FatalError);
+    cfg.queues = fabric::kMaxQueues;
+    EXPECT_EQ(planPorts(cfg).size(), 1u);
 }
 
 TEST(SwitchEquivalence, OnePortUniformReproducesSingleBufferLeg)

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "common/serialize.hh"
 #include "sim/golden.hh"
 #include "sim/workload.hh"
 
@@ -389,5 +394,173 @@ TEST(Workload, UnbiasedFlagIsDeterministicAndCreditSafe)
             --balance[sa.request];
             ASSERT_GE(balance[sa.request], 0) << "slot " << t;
         }
+    }
+}
+
+// ------------------------------------------- pre-rolled idle runs
+
+TEST(Rng, ChanceThresholdIsChanceAsAnIntegerCompare)
+{
+    // The threshold is exact at the 2^-53 grid and one above it just
+    // off the grid ...
+    for (const std::uint64_t k : {1ull, 3ull, 1ull << 20, (1ull << 53) - 1}) {
+        const double p = std::ldexp(static_cast<double>(k), -53);
+        EXPECT_EQ(Rng::chanceThreshold(p), k);
+        EXPECT_EQ(Rng::chanceThreshold(std::nextafter(p, 1.0)), k + 1);
+    }
+    EXPECT_EQ(Rng::chanceThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::chanceThreshold(-0.5), 0u);
+    EXPECT_EQ(Rng::chanceThreshold(std::nan("")), 0u);
+    EXPECT_EQ(Rng::chanceThreshold(1.0), 1ull << 53);
+    EXPECT_EQ(Rng::chanceThreshold(7.0), 1ull << 53);
+    // ... so hit() draws the same values and gives the same answers.
+    for (const double p : {0.0, 1e-300, 0.02, 0.05, 1.0 / 3, 0.5,
+                           0.999999, 1.0, 1.5, -1.0, std::nan("")}) {
+        Rng a(11), b(11);
+        const auto t = Rng::chanceThreshold(p);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(a.chance(p), b.hit(t)) << "p " << p << " draw " << i;
+    }
+}
+
+namespace
+{
+
+std::string
+workloadBytes(const Workload &wl)
+{
+    ser::Writer w;
+    wl.save(w);
+    return w.bytes();
+}
+
+/** Running tally of what an idleRun() comparison covered. */
+struct IdleRunCoverage
+{
+    std::uint64_t idleSlots = 0;
+    std::uint64_t runsFromZeroCredit = 0;
+    std::uint64_t runsWithCredit = 0;
+    std::uint64_t cappedRuns = 0;
+};
+
+/**
+ * Drive `stepped` per slot and `leaping` through idleRun() + step()
+ * over the same slots, with an admission predicate that drops every
+ * arrival of queue 1.  The slots idleRun() skips must be exactly the
+ * ones per-slot step() fills with no stimulus, the stimuli of the
+ * other slots must match, and so must the checkpoint bytes at every
+ * boundary.  `cap` bounds each idleRun() call.
+ */
+void
+expectIdleRunReplaysSteps(Workload &stepped, Workload &leaping,
+                          Slot slots, std::uint64_t cap,
+                          IdleRunCoverage &cov)
+{
+    const auto admit = [](QueueId q) { return q != 1; };
+    Slot t = 0;
+    while (t < slots) {
+        std::uint64_t credit = 0;
+        for (QueueId q = 0; q < leaping.queues(); ++q)
+            credit += leaping.credit(q);
+        const std::uint64_t max = std::min<std::uint64_t>(cap, slots - t);
+        const auto drops = stepped.drops();
+        const std::uint64_t idle = leaping.idleRun(max);
+        ASSERT_LE(idle, max);
+        (credit ? cov.runsWithCredit : cov.runsFromZeroCredit) += 1;
+        cov.cappedRuns += idle == max ? 1 : 0;
+        cov.idleSlots += idle;
+        for (std::uint64_t i = 0; i < idle; ++i, ++t) {
+            const auto s = stepped.step(t, admit);
+            ASSERT_FALSE(s.arrival) << "slot " << t;
+            ASSERT_EQ(s.request, kInvalidQueue) << "slot " << t;
+        }
+        ASSERT_EQ(stepped.drops(), drops);
+        ASSERT_EQ(workloadBytes(stepped), workloadBytes(leaping))
+            << "after the idle run ending at slot " << t;
+        if (t == slots)
+            break;
+        // A run that stopped short of `max` stopped at a stimulus.
+        const auto a = stepped.step(t, admit);
+        const auto b = leaping.step(t, admit);
+        if (idle < max) {
+            ASSERT_TRUE(a.arrival || a.request != kInvalidQueue ||
+                        stepped.drops() != drops)
+                << "slot " << t;
+        }
+        ASSERT_EQ(a.arrival.has_value(), b.arrival.has_value());
+        if (a.arrival) {
+            ASSERT_EQ(a.arrival->queue, b.arrival->queue);
+            ASSERT_EQ(a.arrival->seq, b.arrival->seq);
+        }
+        ASSERT_EQ(a.request, b.request) << "slot " << t;
+        ++t;
+    }
+    EXPECT_EQ(workloadBytes(stepped), workloadBytes(leaping));
+}
+
+} // namespace
+
+TEST(Workload, IdleRunReplaysPerSlotSteps)
+{
+    for (const bool unbiased : {false, true}) {
+        for (const double load : {0.02, 0.05, 0.3}) {
+            for (const std::uint64_t cap : {1ull, 3ull, 1ull << 30}) {
+                SCOPED_TRACE(std::string(unbiased ? "unbiased" : "legacy") +
+                             " load " + std::to_string(load) + " cap " +
+                             std::to_string(cap));
+                IdleRunCoverage cov;
+                UniformRandom a(8, 21, load, unbiased);
+                UniformRandom b(8, 21, load, unbiased);
+                expectIdleRunReplaysSteps(a, b, 20000, cap, cov);
+                BurstyOnOff c(8, 22, 16, load, unbiased);
+                BurstyOnOff d(8, 22, 16, load, unbiased);
+                expectIdleRunReplaysSteps(c, d, 20000, cap, cov);
+                // Both credit states and (for small caps) the cap
+                // itself were exercised.
+                EXPECT_GT(cov.idleSlots, 0u);
+                EXPECT_GT(cov.runsFromZeroCredit, 0u);
+                EXPECT_GT(cov.runsWithCredit, 0u);
+                if (cap < 10) {
+                    EXPECT_GT(cov.cappedRuns, 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(Workload, CoinPatternsLeapWhereMostSlotsAreIdle)
+{
+    // idleRun() is exact at any load (above); the runner uses it
+    // while a slot draws neither coin with probability >= 1/2.
+    EXPECT_TRUE(UniformRandom(8, 1, 0.05).leaps());
+    EXPECT_TRUE(BurstyOnOff(8, 1, 16, 0.29).leaps());
+    EXPECT_FALSE(UniformRandom(8, 1, 0.3).leaps());
+    EXPECT_FALSE(BurstyOnOff(8, 1, 16, 0.45).leaps());
+}
+
+TEST(Workload, IdleRunOfZeroSlotsDrawsNothing)
+{
+    UniformRandom wl(8, 3, 0.05);
+    const auto before = workloadBytes(wl);
+    EXPECT_EQ(wl.idleRun(0), 0u);
+    EXPECT_EQ(workloadBytes(wl), before);
+}
+
+TEST(Workload, NonLeapingWorkloadsReportNoIdleRun)
+{
+    std::vector<std::unique_ptr<Workload>> wls;
+    wls.push_back(std::make_unique<RoundRobinWorstCase>(4, 1, 0.05));
+    wls.push_back(std::make_unique<SingleQueue>(4, 1));
+    wls.push_back(std::make_unique<SubsetRoundRobin>(
+        4, 1, std::vector<QueueId>{0, 2}, 0.05, 0.05));
+    wls.push_back(std::make_unique<PermutedDrain>(4, 1, 0, 0.05));
+    wls.push_back(std::make_unique<TraceReplay>(
+        4, std::vector<TraceReplay::Entry>{}, 1));
+    for (auto &wl : wls) {
+        SCOPED_TRACE(wl->name());
+        EXPECT_FALSE(wl->leaps());
+        const auto before = workloadBytes(*wl);
+        EXPECT_EQ(wl->idleRun(1000), 0u);
+        EXPECT_EQ(workloadBytes(*wl), before);
     }
 }
