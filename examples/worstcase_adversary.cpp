@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <deque>
 
 #include "buffer/hybrid_buffer.hh"
 #include "dram/address_map.hh"

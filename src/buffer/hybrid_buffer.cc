@@ -718,10 +718,8 @@ HybridBuffer::stepSlot(const std::optional<Cell> &arrival,
         *trace << "t" << now << " grant due q" << ready.phys << "\n";
     const Cell cell = head_.pop(ready.phys, &spare_blocks_);
     grants_.inc();
-    if (rt_) {
-        for (const auto rec : rt_->onGrant(ready.logical))
-            recyclePhys(rec);
-    }
+    if (rt_)
+        rt_->onGrant(ready.logical, [this](QueueId p) { recyclePhys(p); });
     ++now_;
     return GrantInfo{cell, ready.logical};
 }

@@ -35,21 +35,22 @@
 #define PKTBUF_RENAME_RENAMING_TABLE_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace pktbuf::rename
 {
 
-/** Reports the free DRAM cells of a group (committed space off). */
-using GroupFreeFn = std::function<std::uint64_t(unsigned)>;
-
+/**
+ * Allocates nothing once warm: the chains and free pools are rings,
+ * retired queues go to a callback, and the admission calls take the
+ * group-space query (`group_free(g)`: the free DRAM cells of group g,
+ * committed space off) as a template parameter.
+ */
 class RenamingTable
 {
   public:
@@ -70,12 +71,13 @@ class RenamingTable
                  logical_queues, ")");
         fatal_if(groups == 0, "no groups");
         for (QueueId p = 0; p < phys_queues; ++p)
-            free_pool_[p % groups].push_back(p);
+            free_pool_[p % groups].pushBack(p);
     }
 
     /** Side-effect-free admission check for one cell of `lq`. */
+    template <typename GroupFree>
     bool
-    canAssign(QueueId lq, const GroupFreeFn &group_free) const
+    canAssign(QueueId lq, const GroupFree &group_free) const
     {
         const auto &reg = regs_[lq];
         if (!reg.elems.empty() &&
@@ -91,8 +93,9 @@ class RenamingTable
      * DRAM space.  Panics if admission (canAssign) would have
      * failed -- callers must check first.
      */
+    template <typename GroupFree>
     QueueId
-    assignArrival(QueueId lq, const GroupFreeFn &group_free)
+    assignArrival(QueueId lq, const GroupFree &group_free)
     {
         auto &reg = r(lq);
         const bool tail_ok =
@@ -103,8 +106,8 @@ class RenamingTable
             panic_if(g < 0, "assignArrival without admission check");
             Element e;
             e.phys = free_pool_[static_cast<unsigned>(g)].front();
-            free_pool_[static_cast<unsigned>(g)].pop_front();
-            reg.elems.push_back(e);
+            free_pool_[static_cast<unsigned>(g)].popFront();
+            reg.elems.pushBack(e);
             if (reg.elems.size() > 1)
                 renames_.inc();
         }
@@ -137,11 +140,12 @@ class RenamingTable
      * the cell belongs to the first element with an outstanding
      * request (a fully drained head element can linger when it was
      * the sole element at its last grant and a successor was
-     * allocated afterwards).  Returns every physical queue retired
-     * by this grant, oldest first.
+     * allocated afterwards).  Hands every physical queue retired by
+     * this grant to `recycled(p)`, oldest first.
      */
-    std::vector<QueueId>
-    onGrant(QueueId lq)
+    template <typename RecycledFn>
+    void
+    onGrant(QueueId lq, const RecycledFn &recycled)
     {
         auto &reg = r(lq);
         panic_if(reg.elems.empty(), "grant with no elements");
@@ -157,21 +161,20 @@ class RenamingTable
         // Retire every head element that nothing can reference any
         // more: not the tail (no future arrivals) and every assigned
         // cell requested and granted.
-        std::vector<QueueId> recycled;
         while (reg.elems.size() > 1) {
             const auto &f = reg.elems.front();
             if (f.requested != f.assigned || f.granted != f.assigned)
                 break;
-            recycled.push_back(f.phys);
-            free_pool_[groupOf(f.phys)].push_back(f.phys);
+            const QueueId p = f.phys;
+            free_pool_[groupOf(p)].pushBack(p);
             recycles_.inc();
-            reg.elems.pop_front();
+            reg.elems.popFront();
             // req_idx advances lazily at translate time; if it still
             // pointed at the retired head it now points at index 0.
             if (reg.req_idx > 0)
                 --reg.req_idx;
+            recycled(p);
         }
-        return recycled;
     }
 
     /** Physical queues currently backing `lq` (register length). */
@@ -235,7 +238,8 @@ class RenamingTable
             const auto ne =
                 io.count(reg.elems.size(), elem_bytes, "chain elements");
             reg.elems.resize(ne);
-            for (auto &e : reg.elems) {
+            for (std::size_t i = 0; i < ne; ++i) {
+                auto &e = reg.elems[i];
                 name(e.phys);
                 io.u64(e.assigned);
                 io.u64(e.requested);
@@ -250,7 +254,8 @@ class RenamingTable
         for (unsigned g = 0; g < free_pool_.size(); ++g) {
             auto &pool = free_pool_[g];
             pool.resize(io.count(pool.size(), 4, "free physical queues"));
-            for (auto &p : pool) {
+            for (std::size_t i = 0; i < pool.size(); ++i) {
+                auto &p = pool[i];
                 name(p);
                 fatal_if(io.reading() && groupOf(p) != g,
                          "checkpoint: physical queue ", p,
@@ -275,7 +280,7 @@ class RenamingTable
 
     struct Register
     {
-        std::deque<Element> elems;
+        Ring<Element> elems;
         std::size_t req_idx = 0;
     };
 
@@ -288,23 +293,24 @@ class RenamingTable
     }
 
     /**
-     * Bank-bandwidth demand proxy per group: +1 for every register's
-     * head element (replenish reads drain it) and +1 for every tail
-     * element (arrival writes fill it).  A single-element chain adds
-     * 2 to its group -- it carries that queue's reads and writes.
-     * Dormant middle elements cost no bandwidth and are not counted.
+     * Bank-bandwidth demand proxy per group, into load_: +1 for every
+     * register's head element (replenish reads drain it) and +1 for
+     * every tail element (arrival writes fill it).  A single-element
+     * chain adds 2 to its group -- it carries that queue's reads and
+     * writes.  Dormant middle elements cost no bandwidth and are not
+     * counted.
      */
-    std::vector<unsigned>
+    const std::vector<unsigned> &
     groupLoads() const
     {
-        std::vector<unsigned> load(groups_, 0);
+        load_.assign(groups_, 0);
         for (const auto &reg : regs_) {
             if (reg.elems.empty())
                 continue;
-            ++load[groupOf(reg.elems.front().phys)];
-            ++load[groupOf(reg.elems.back().phys)];
+            ++load_[groupOf(reg.elems.front().phys)];
+            ++load_[groupOf(reg.elems.back().phys)];
         }
-        return load;
+        return load_;
     }
 
     /**
@@ -313,10 +319,11 @@ class RenamingTable
      * heads/tails, ties broken toward the most free space; -1 when
      * no group qualifies.
      */
+    template <typename GroupFree>
     int
-    pickGroup(const GroupFreeFn &group_free) const
+    pickGroup(const GroupFree &group_free) const
     {
-        const auto load = groupLoads();
+        const auto &load = groupLoads();
         int best = -1;
         unsigned best_load = 0;
         std::uint64_t best_free = 0;
@@ -339,9 +346,12 @@ class RenamingTable
     unsigned phys_queues_;  // ser: config
     unsigned groups_;  // ser: config
     std::vector<Register> regs_;
-    std::vector<std::deque<QueueId>> free_pool_;
+    std::vector<Ring<QueueId>> free_pool_;
     Counter renames_;
     Counter recycles_;
+    /** groupLoads() output, kept so that pickGroup() allocates
+     *  nothing. */
+    mutable std::vector<unsigned> load_;  // ser: derived
 };
 
 } // namespace pktbuf::rename

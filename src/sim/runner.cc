@@ -83,17 +83,14 @@ SimRunner::drain(std::uint64_t max_slots)
         static_cast<std::uint64_t>(buf_.config().params.granRads) + 8;
     QueueId next = 0;
     for (std::uint64_t i = 0; i < max_slots; ++i) {
+        // The credit total skips the O(Q) probe on the pipeline-deep
+        // tail of empty slots, so a drain costs O(Q), not O(Q^2).
         QueueId req = kInvalidQueue;
-        for (unsigned k = 0; k < wl_.queues(); ++k) {
-            const QueueId q = (next + k) % wl_.queues();
-            if (wl_.credit(q) > 0) {
-                req = q;
-                next = (q + 1) % wl_.queues();
-                break;
-            }
-        }
-        if (req != kInvalidQueue)
+        if (wl_.totalCredit() > 0) {
+            req = wl_.nextRequestable(next);
+            next = (req + 1) % wl_.queues();
             wl_.consumeCredit(req);
+        }
         const auto grant = buf_.step(std::nullopt, req);
         if (grant) {
             if (check_)

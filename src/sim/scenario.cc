@@ -136,9 +136,7 @@ completeScenario(const Scenario &s, buffer::HybridBuffer &buf,
 {
     std::ostringstream os;
 
-    std::uint64_t credits = 0;
-    for (QueueId q = 0; q < wl.queues(); ++q)
-        credits += wl.credit(q);
+    const std::uint64_t credits = wl.totalCredit();
     // Steady-state drain delivers ~1 cell/slot; the budget leaves
     // generous slack for pipeline refill and bank conflicts.
     const std::uint64_t budget =
@@ -148,8 +146,7 @@ completeScenario(const Scenario &s, buffer::HybridBuffer &buf,
 
     out.verified = runner.checker().granted();
     out.report = buf.report();
-    for (QueueId q = 0; q < wl.queues(); ++q)
-        out.undelivered += wl.credit(q);
+    out.undelivered = wl.totalCredit();
 
     if (out.verified != out.run.grants + out.drained) {
         os << "golden checker saw " << out.verified

@@ -98,6 +98,21 @@ class Workload
     /** Cells arrived but not yet requested, per queue. */
     std::uint64_t credit(QueueId q) const { return credit_[q]; }
 
+    /** Cells arrived but not yet requested, over all queues. */
+    std::uint64_t totalCredit() const { return total_credit_; }
+
+    /** First queue with credit at or after `from`, cyclic; O(Q). */
+    QueueId
+    nextRequestable(QueueId from) const
+    {
+        for (unsigned i = 0; i < queues_; ++i) {
+            const QueueId q = (from + i) % queues_;
+            if (credit_[q] > 0)
+                return q;
+        }
+        return kInvalidQueue;
+    }
+
     /** Arrivals rejected by the admission predicate. */
     std::uint64_t drops() const { return drops_; }
 
@@ -172,18 +187,6 @@ class Workload
 
     /** Pattern-specific checkpoint state (cursors, burst windows). */
     virtual void extraFields(ser::Io &) {}
-
-    /** First queue with credit at or after `from`, cyclic. */
-    QueueId
-    nextRequestable(QueueId from) const
-    {
-        for (unsigned i = 0; i < queues_; ++i) {
-            const QueueId q = (from + i) % queues_;
-            if (credit_[q] > 0)
-                return q;
-        }
-        return kInvalidQueue;
-    }
 
     /**
      * Random queue with credit, or invalid if none -- the *legacy*

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <set>
 
 #include "common/key_window.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "common/shift_register.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -274,4 +276,36 @@ TEST(KeyWindow, RandomOperationsMatchAnOrderedMap)
         ++it;
     });
     EXPECT_EQ(it, ref.end());
+}
+
+TEST(Ring, RandomOperationsMatchADeque)
+{
+    // Pushes and pops wrap the ring and grow it past a wrapped front;
+    // resize truncates or appends as a restore does.
+    Ring<std::uint64_t> r;
+    std::deque<std::uint64_t> ref;
+    Rng rng(7);
+    for (std::uint64_t step = 0; step < 20000; ++step) {
+        if (rng.chance(0.01)) {
+            const std::size_t n = rng.below(40);
+            r.resize(n);
+            ref.resize(n);
+            for (std::size_t i = 0; i < n; ++i)
+                r[i] = ref[i] = step + i;
+        } else if (ref.empty() || rng.chance(0.55)) {
+            r.pushBack(step);
+            ref.push_back(step);
+        } else {
+            ASSERT_EQ(r.front(), ref.front());
+            r.popFront();
+            ref.pop_front();
+        }
+        ASSERT_EQ(r.size(), ref.size());
+        ASSERT_EQ(r.empty(), ref.empty());
+        if (!ref.empty()) {
+            ASSERT_EQ(r.back(), ref.back());
+        }
+    }
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(r[i], ref[i]);
 }

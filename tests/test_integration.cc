@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 

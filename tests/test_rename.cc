@@ -22,10 +22,19 @@ using namespace pktbuf::rename;
 namespace
 {
 
-GroupFreeFn
+auto
 unbounded()
 {
-    return [](unsigned) { return UINT64_MAX; };
+    return [](unsigned) -> std::uint64_t { return UINT64_MAX; };
+}
+
+/** One grant of `lq`: the physical queues it retired, oldest first. */
+std::vector<QueueId>
+grant(RenamingTable &rt, QueueId lq)
+{
+    std::vector<QueueId> recycled;
+    rt.onGrant(lq, [&](QueueId p) { recycled.push_back(p); });
+    return recycled;
 }
 
 using Names = std::vector<std::vector<QueueId>>;
@@ -177,9 +186,9 @@ TEST(Renaming, RetireAndRecycleAfterFullDrain)
     rt.translateRequest(0);
     rt.translateRequest(0);
     // First grant: element A not yet fully granted.
-    EXPECT_TRUE(rt.onGrant(0).empty());
+    EXPECT_TRUE(grant(rt, 0).empty());
     // Second grant drains A completely; A retires.
-    const auto rec = rt.onGrant(0);
+    const auto rec = grant(rt, 0);
     ASSERT_EQ(rec.size(), 1u);
     EXPECT_EQ(rec[0], pa);
     EXPECT_EQ(rt.chainLength(0), 1u);
@@ -195,7 +204,7 @@ TEST(Renaming, TailElementNeverRetiresEarly)
     rt.translateRequest(0);
     // Fully requested and granted, but it is the tail: more
     // arrivals may come, so it must stay.
-    EXPECT_TRUE(rt.onGrant(0).empty());
+    EXPECT_TRUE(grant(rt, 0).empty());
     EXPECT_EQ(rt.chainLength(0), 1u);
 }
 
