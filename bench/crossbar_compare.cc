@@ -80,11 +80,11 @@ main(int argc, char **argv)
     const SchedulerKind kinds[] = {SchedulerKind::Islip,
                                    SchedulerKind::Qps,
                                    SchedulerKind::RandomMaximal};
-    const sw::TrafficPattern patterns[] = {
-        sw::TrafficPattern::Uniform,
-        sw::TrafficPattern::Hotspot,
-        sw::TrafficPattern::Incast,
-        sw::TrafficPattern::Permutation,
+    const fabric::TrafficPattern patterns[] = {
+        fabric::TrafficPattern::Uniform,
+        fabric::TrafficPattern::Hotspot,
+        fabric::TrafficPattern::Incast,
+        fabric::TrafficPattern::Permutation,
     };
     const double loads[] = {0.30, 0.45, 0.60, 0.75, 0.90};
 
@@ -106,7 +106,7 @@ main(int argc, char **argv)
         for (const auto load : loads) {
             CrossbarConfig cfg;
             cfg.ports = 16;
-            cfg.pattern = sw::TrafficPattern::Uniform;
+            cfg.pattern = fabric::TrafficPattern::Uniform;
             cfg.scheduler = kind;
             cfg.load = load;
             cfg.slots = pktbuf::bench::scaledSlots(20000, opt.smoke);

@@ -111,7 +111,7 @@ main(int argc, char **argv)
     std::printf("Input-queued crossbar: %u x %u, %s pattern, %s"
                 " scheduler, all inputs\ngolden-checked.\n%s\n\n",
                 cfg.ports, cfg.ports,
-                sw::toString(cfg.pattern).c_str(),
+                fabric::toString(cfg.pattern).c_str(),
                 toString(cfg.scheduler).c_str(),
                 cfg.describe().c_str());
     std::printf("%-6s %-36s %10s %10s %10s %8s  %s\n", "input",

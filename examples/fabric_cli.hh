@@ -27,7 +27,7 @@
 #include <type_traits>
 
 #include "sim/scenario.hh"
-#include "switch/traffic.hh"
+#include "fabric/traffic.hh"
 
 namespace pktbuf::cli
 {
@@ -180,7 +180,7 @@ parseFlags(int argc, char **argv, void (*usage)(const char *),
         if (a.is("--ports")) {
             cfg.ports = a.number<unsigned>();
         } else if (a.is("--pattern")) {
-            if (!sw::parseTrafficPattern(a.value(), cfg.pattern))
+            if (!fabric::parseTrafficPattern(a.value(), cfg.pattern))
                 a.fail();
         } else if (a.is("--variant")) {
             const std::string tok = a.value();

@@ -1,9 +1,8 @@
 #include "crossbar_sim.hh"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <exception>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -54,7 +53,7 @@ CrossbarConfig::name() const
 {
     std::ostringstream os;
     os << "xbar_" << xbar::toString(scheduler) << "_"
-       << sw::toString(pattern) << "_p" << ports << "_"
+       << fabric::toString(pattern) << "_p" << ports << "_"
        << sim::toString(variant) << "_B" << granRads << "_b"
        << (variant == sim::BufferVariant::Rads ? granRads : gran);
     return os.str();
@@ -84,7 +83,7 @@ planCrossbar(const CrossbarConfig &cfg)
     double rho = std::min(cfg.load, CrossbarConfig::kMaxInputLoad);
     // A permutation input concentrates its whole rate on one VOQ; a
     // 1x1 crossbar does so under *every* pattern.
-    if (cfg.pattern == sw::TrafficPattern::Permutation || n == 1)
+    if (cfg.pattern == fabric::TrafficPattern::Permutation || n == 1)
         rho = std::min(rho, CrossbarConfig::kMaxVoqLoad);
 
     // Resolve the skewed patterns' probabilities against the output
@@ -92,7 +91,7 @@ planCrossbar(const CrossbarConfig &cfg)
     // rebuilt from its plan alone).
     const unsigned hot = fabric::hotCount(cfg.hotOutputs, n);
     double hot_fraction = 0.0;
-    if (cfg.pattern == sw::TrafficPattern::Hotspot) {
+    if (cfg.pattern == fabric::TrafficPattern::Hotspot) {
         if (hot >= n) {
             hot_fraction = 1.0;  // degenerate: every output is hot
         } else {
@@ -108,7 +107,7 @@ planCrossbar(const CrossbarConfig &cfg)
         }
     }
     double burst_start = 0.0;
-    if (cfg.pattern == sw::TrafficPattern::Incast && n > 1) {
+    if (cfg.pattern == fabric::TrafficPattern::Incast && n > 1) {
         // Victim-directed fraction phi.  The victim output takes
         // the *bursty* aggregate cap (kMaxVoqLoad, the switch
         // layer's kMaxBurstyLoad argument), not the milder skewed
@@ -172,17 +171,17 @@ planCrossbar(const CrossbarConfig &cfg)
         // Name the workload that actually runs, so failure logs and
         // --list lines describe the destination process exactly.
         switch (cfg.pattern) {
-          case sw::TrafficPattern::Uniform:
+          case fabric::TrafficPattern::Uniform:
             s.workloadTag = "voq_uniform";
             break;
-          case sw::TrafficPattern::Hotspot:
+          case fabric::TrafficPattern::Hotspot:
             s.workloadTag = "voq_hot" + std::to_string(hot);
             break;
-          case sw::TrafficPattern::Incast:
+          case fabric::TrafficPattern::Incast:
             s.workloadTag =
                 "voq_incast" + std::to_string(cfg.incastVictim);
             break;
-          case sw::TrafficPattern::Permutation:
+          case fabric::TrafficPattern::Permutation:
             s.workloadTag =
                 "voq_to" + std::to_string(dest.permTarget);
             break;
@@ -205,12 +204,13 @@ CrossbarPortWorkload::CrossbarPortWorkload(const DestPlan &dest,
              "output, got ", dest.outputs);
 }
 
-QueueId
-CrossbarPortWorkload::plan(QueueId grant)
+void
+CrossbarPortWorkload::play(Script &script)
 {
-    const QueueId arrival = pickArrival();
-    script_.push_back({arrival, grant});
-    return arrival;
+    panic_if(!script_.empty(), "crossbar workload handed a window with ",
+             script_.size() - next_, " planned slots unplayed");
+    script_.swap(script);
+    next_ = 0;
 }
 
 QueueId
@@ -221,45 +221,45 @@ CrossbarPortWorkload::arrivalQueue(Slot)
         // is the same start-of-slot VOQ depth the matching engine
         // hands its scheduler.
         start_credit_ = credit(0);
-        return pickArrival();
+        return drawArrival(dest_, load_, rng_, burst_remaining_);
     }
     if (next_ == script_.size())
-        return pickArrival();
-    return script_[next_].arrival;
+        return drawArrival(dest_, load_, rng_, burst_remaining_);
+    return Planned::unpack(script_[next_].arrival);
 }
 
 QueueId
-CrossbarPortWorkload::pickArrival()
+CrossbarPortWorkload::drawArrival(const DestPlan &dest, double load,
+                                  Rng &rng, std::uint64_t &burst)
 {
-    if (!rng_.chance(load_))
+    if (!rng.chance(load))
         return kInvalidQueue;
-    const unsigned n = dest_.outputs;
-    switch (dest_.pattern) {
-      case sw::TrafficPattern::Uniform:
-        return static_cast<QueueId>(rng_.below(n));
-      case sw::TrafficPattern::Hotspot:
-        if (dest_.hotOutputs >= n)
-            return static_cast<QueueId>(rng_.below(n));
-        if (rng_.chance(dest_.hotFraction))
-            return static_cast<QueueId>(
-                rng_.below(dest_.hotOutputs));
+    const unsigned n = dest.outputs;
+    switch (dest.pattern) {
+      case fabric::TrafficPattern::Uniform:
+        return static_cast<QueueId>(rng.below(n));
+      case fabric::TrafficPattern::Hotspot:
+        if (dest.hotOutputs >= n)
+            return static_cast<QueueId>(rng.below(n));
+        if (rng.chance(dest.hotFraction))
+            return static_cast<QueueId>(rng.below(dest.hotOutputs));
         return static_cast<QueueId>(
-            dest_.hotOutputs + rng_.below(n - dest_.hotOutputs));
-      case sw::TrafficPattern::Incast: {
+            dest.hotOutputs + rng.below(n - dest.hotOutputs));
+      case fabric::TrafficPattern::Incast: {
         if (n == 1)
-            return static_cast<QueueId>(dest_.victim);
-        if (burst_remaining_ == 0 && rng_.chance(dest_.burstStart))
-            burst_remaining_ = 1 + rng_.below(dest_.burstLen);
-        if (burst_remaining_ > 0) {
-            --burst_remaining_;
-            return static_cast<QueueId>(dest_.victim);
+            return static_cast<QueueId>(dest.victim);
+        if (burst == 0 && rng.chance(dest.burstStart))
+            burst = 1 + rng.below(dest.burstLen);
+        if (burst > 0) {
+            --burst;
+            return static_cast<QueueId>(dest.victim);
         }
         // Uniform over the non-victim outputs.
-        auto q = static_cast<QueueId>(rng_.below(n - 1));
-        return q >= dest_.victim ? q + 1 : q;
+        auto q = static_cast<QueueId>(rng.below(n - 1));
+        return q >= dest.victim ? q + 1 : q;
       }
-      case sw::TrafficPattern::Permutation:
-        return dest_.permTarget;
+      case fabric::TrafficPattern::Permutation:
+        return dest.permTarget;
     }
     panic("unknown destination pattern");
 }
@@ -271,7 +271,7 @@ CrossbarPortWorkload::requestQueue(Slot)
         return start_credit_ > 0 ? 0 : kInvalidQueue;
     if (next_ == script_.size())
         return kInvalidQueue;
-    const QueueId g = script_[next_].grant;
+    const QueueId g = Planned::unpack(script_[next_].grant);
     if (++next_ == script_.size()) {
         script_.clear();
         next_ = 0;
@@ -305,19 +305,26 @@ makeInputWorkload(const InputPlan &plan, bool self_greedy)
 }
 
 /**
- * The threads that run the data plane.  Worker k of a gang of `size`
- * (the caller is worker 0) steps inputs k, k + size, ..., always the
- * same ones, so an input's buffer stays in one core's cache.  The
- * mutex hands each window's plan to the workers and their inputs'
- * state back to the caller.
+ * The threads that run the data plane.  Every input has a home
+ * worker -- input i belongs to worker i % workers, which steps its
+ * inputs in ascending order, so an input's buffer stays in one
+ * core's cache -- and each input of a window is claimed exactly
+ * once, by a compare-exchange on its round stamp.  The caller starts
+ * a window, plans the next one, then claims every input not claimed
+ * yet, from the last down (the ones their workers would reach last),
+ * and waits for the rest: a descheduled worker delays the window by
+ * at most the input it is stepping.  Only the caller steals, so each
+ * input's allocations stay in at most two threads' arenas.
  */
 struct CrossbarRun::Gang
 {
-    Gang(CrossbarRun &run, unsigned size) : run_(run), size_(size)
+    Gang(CrossbarRun &run, unsigned workers)
+        : run_(run), workers_(workers), inputs_(run.cfg_.ports),
+          claimed_(inputs_)
     {
         try {
-            threads_.reserve(size - 1);
-            for (unsigned k = 1; k < size; ++k)
+            threads_.reserve(workers);
+            for (unsigned k = 0; k < workers; ++k)
                 threads_.emplace_back([this, k] { work(k); });
         } catch (...) {
             stop();
@@ -330,70 +337,83 @@ struct CrossbarRun::Gang
     Gang(const Gang &) = delete;
     Gang &operator=(const Gang &) = delete;
 
-    /** Step every input to slot `end`; returns when all are there. */
+    /** Let the workers step every input to slot `end`. */
     void
-    run(std::uint64_t end)
+    start(std::uint64_t end)
     {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            end_ = end;
-            pending_ = size_ - 1;
-            ++round_;
-        }
-        start_.notify_all();
-        run_.stepShare(0, size_, end);
-        std::unique_lock<std::mutex> lock(mu_);
-        done_.wait(lock, [this] { return pending_ == 0; });
+        end_.store(end, std::memory_order_relaxed);
+        remaining_.store(inputs_, std::memory_order_relaxed);
+        round_.fetch_add(1, std::memory_order_release);
+        round_.notify_all();
+    }
+
+    /** Step the inputs no worker has claimed, then wait for all. */
+    void
+    join()
+    {
+        const std::uint32_t r = round_.load(std::memory_order_relaxed);
+        const std::uint64_t end = end_.load(std::memory_order_relaxed);
+        for (unsigned i = inputs_; i-- > 0;)
+            step(i, r, end);
+        for (unsigned left;
+             (left = remaining_.load(std::memory_order_acquire)) != 0;)
+            remaining_.wait(left, std::memory_order_acquire);
     }
 
   private:
+    /** Step input i for round r if nobody has claimed it yet. */
+    void
+    step(unsigned i, std::uint32_t r, std::uint64_t end)
+    {
+        // Every input is claimed once per round, so an unclaimed
+        // input still carries the previous round's stamp; a worker
+        // that slept through a round fails here and moves on.
+        std::uint32_t prev = r - 1;
+        if (!claimed_[i].compare_exchange_strong(
+                prev, r, std::memory_order_relaxed))
+            return;
+        run_.stepInput(i, end);
+        if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            remaining_.notify_one();
+    }
+
     void
     work(unsigned k)
     {
-        std::uint64_t seen = 0;
+        std::uint32_t seen = 0;
         while (true) {
-            std::uint64_t end = 0;
-            {
-                std::unique_lock<std::mutex> lock(mu_);
-                start_.wait(lock,
-                            [&] { return stopping_ || round_ != seen; });
-                if (stopping_)
-                    return;
-                seen = round_;
-                end = end_;
-            }
-            run_.stepShare(k, size_, end);
-            std::lock_guard<std::mutex> lock(mu_);
-            if (--pending_ == 0)
-                done_.notify_one();
+            round_.wait(seen, std::memory_order_acquire);
+            seen = round_.load(std::memory_order_acquire);
+            if (stopping_.load(std::memory_order_relaxed))
+                return;
+            const std::uint64_t end = end_.load(std::memory_order_relaxed);
+            for (unsigned i = k; i < inputs_; i += workers_)
+                step(i, seen, end);
         }
     }
 
     void
     stop()
     {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stopping_ = true;
-        }
-        start_.notify_all();
+        stopping_.store(true, std::memory_order_relaxed);
+        round_.fetch_add(1, std::memory_order_release);
+        round_.notify_all();
         for (auto &t : threads_)
             t.join();
     }
 
     CrossbarRun &run_;
-    const unsigned size_;
-    /** Guards the round state below. */
-    std::mutex mu_;
-    std::condition_variable start_;
-    std::condition_variable done_;
-    /** Bumped per window; a worker runs each round once. */
-    std::uint64_t round_ = 0;
+    const unsigned workers_;
+    const unsigned inputs_;
+    /** Per input: the last round that claimed it. */
+    std::vector<std::atomic<std::uint32_t>> claimed_;
+    /** Bumped per window (and once to stop); the workers wait on it. */
+    alignas(64) std::atomic<std::uint32_t> round_{0};
     /** The window's end slot. */
-    std::uint64_t end_ = 0;
-    /** Workers still stepping this round. */
-    unsigned pending_ = 0;
-    bool stopping_ = false;
+    std::atomic<std::uint64_t> end_{0};
+    std::atomic<bool> stopping_{false};
+    /** Inputs of the window not stepped yet; the caller waits on it. */
+    alignas(64) std::atomic<unsigned> remaining_{0};
     /** Last: the workers use every member above. */
     std::vector<std::thread> threads_;
 };
@@ -404,7 +424,8 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
       sched_(makeScheduler(
           cfg.scheduler, cfg.ports, cfg.islipIterations,
           cfg.qpsWindow, sweep::deriveSeed(cfg.masterSeed, kSchedSalt))),
-      wl_(cfg.ports, nullptr), occ_(cfg.ports), taken_(occ_.words(), 0),
+      wl_(cfg.ports, nullptr), planners_(cfg.ports), occ_(cfg.ports),
+      match_(cfg.ports, kInvalidQueue), taken_(occ_.words(), 0),
       drops_(cfg.ports, 0), errors_(cfg.ports)
 {
     // Fresh workloads hold no credit: the all-zero occ_ is exact.
@@ -419,12 +440,21 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
                 wl_[i] = w.get();
                 return w;
             }));
+        Planner &p = planners_[i];
+        p.dest = plans_[i].dest;
+        p.load = plans_[i].scenario.load;
+        // Both scripts of the input hold a whole window from the
+        // start, so no window grows them.
+        CrossbarPortWorkload::Script script;
+        script.reserve(kMaxWindow);
+        wl_[i]->play(script);
+        p.ahead.reserve(kMaxWindow);
     }
 }
 
 CrossbarRun::~CrossbarRun() = default;
 
-void
+unsigned
 CrossbarRun::validate(Slot t, const Matching &m)
 {
     const unsigned n = cfg_.ports;
@@ -432,6 +462,7 @@ CrossbarRun::validate(Slot t, const Matching &m)
              " returned ", m.size(), " entries for ", n,
              " inputs at slot ", t);
     std::fill(taken_.begin(), taken_.end(), 0);
+    unsigned edges = 0;
     for (unsigned i = 0; i < n; ++i) {
         const QueueId j = m[i];
         if (j == kInvalidQueue)
@@ -446,7 +477,9 @@ CrossbarRun::validate(Slot t, const Matching &m)
                  " granted empty VOQ (", i, " -> ", j, ") at slot ",
                  t);
         taken_[j / 64] |= bit;
+        ++edges;
     }
+    return edges;
 }
 
 void
@@ -457,74 +490,165 @@ CrossbarRun::runTo(std::uint64_t slot)
              " (already at ", executed_, ")");
     fatal_if(slot > cfg_.slots, "slot ", slot,
              " beyond the main phase (", cfg_.slots, " slots)");
+    if (failed_)
+        std::rethrow_exception(failed_);
+    // The planners hold the arrival streams for the call; the
+    // workloads get them back however it ends.
+    for (unsigned i = 0; i < cfg_.ports; ++i)
+        wl_[i]->takeStream(planners_[i].rng, planners_[i].burst);
+    try {
+        advance(slot);
+    } catch (...) {
+        failed_ = std::current_exception();
+    }
+    for (unsigned i = 0; i < cfg_.ports; ++i)
+        wl_[i]->returnStream(planners_[i].rng, planners_[i].burst);
+    if (failed_)
+        std::rethrow_exception(failed_);
+}
+
+void
+CrossbarRun::advance(std::uint64_t slot)
+{
+    const unsigned n = cfg_.ports;
+    // Inside a sweep task the pool already fills the CPUs; otherwise
+    // one worker per CPU besides the caller, up to one per input.
+    const unsigned workers =
+        sweep::onSweepWorker()
+            ? 0
+            : std::min(n, sweep::availableCpus() - 1);
+    // Slots planned during the last window, not yet handed over.
+    std::uint64_t ahead = 0;
     while (executed_ < slot) {
-        // An input takes at most one arrival per slot, so for its
-        // admitHorizon() slots every arrival is admitted and the
-        // control plane's projected credits are exact.  A horizon of
-        // 0 (renaming) leaves one lockstep slot.
-        std::uint64_t w = std::min(slot - executed_, kMaxWindow);
-        for (const auto &in : inputs_)
-            w = std::min(w, in->buffer().admitHorizon());
-        w = std::max<std::uint64_t>(w, 1);
-        planWindow(w);
-        stepInputs(w);
-        executed_ += w;
-    }
-}
-
-void
-CrossbarRun::planWindow(std::uint64_t w)
-{
-    const unsigned n = cfg_.ports;
-    for (std::uint64_t t = executed_; t < executed_ + w; ++t) {
-        // occ_ holds the start-of-slot credits: cells arrived but
-        // not yet requested, exactly what the fabric may move.
-        // An all-empty fabric slot never consults the scheduler, so
-        // its RNG/pointer state stays a pure function of the traffic
-        // it actually arbitrated.
-        const bool any = occ_.total() > 0;
-        const Matching m =
-            any ? sched_->schedule(occ_) : Matching(n, kInvalidQueue);
-        if (any) {
-            validate(t, m);
-            const unsigned iters = sched_->lastIterations();
-            ++active_slots_;
-            iter_sum_ += iters;
-            match_edges_ += matchingSize(m);
-            if (onMatch)
-                onMatch(t, occ_, m, iters);
+        // An input takes at most one arrival per slot, so for the
+        // horizon's `h` slots from here every arrival is admitted and
+        // the projected credits are exact.  A horizon of 0 (renaming)
+        // leaves one lockstep slot.  The look-ahead planned during
+        // the last window fits: that window's horizon covered both,
+        // and it admitted at most one arrival per slot.
+        const std::uint64_t h = horizon();
+        std::uint64_t w = ahead;
+        if (w == 0) {
+            w = std::max<std::uint64_t>(
+                1, std::min({slot - executed_, kMaxWindow, h}));
+            planWindow(executed_, w);
         }
+        panic_if(w > std::max<std::uint64_t>(h, 1), "crossbar planned ",
+                 w, " slots ahead of a ", h, "-slot admission horizon");
+        const std::uint64_t end = executed_ + w;
         for (unsigned i = 0; i < n; ++i) {
-            if (m[i] != kInvalidQueue)
-                occ_.set(i, m[i], occ_.at(i, m[i]) - 1);
-            const QueueId a = wl_[i]->plan(m[i]);
-            if (a != kInvalidQueue)
-                occ_.set(i, a, occ_.at(i, a) + 1);
+            drops_[i] = wl_[i]->drops();
+            wl_[i]->play(planners_[i].ahead);
         }
+        data_end_ = end;
+        ahead = 0;
+        if (w < kMinFanOut || workers == 0) {
+            for (unsigned i = 0; i < n; ++i)
+                stepInput(i, end);
+            endWindow(w, false);
+            continue;
+        }
+        if (!gang_)
+            gang_ = std::make_unique<Gang>(*this, workers);
+        gang_->start(end);
+        // Plan the next window while the gang steps this one; the
+        // two together stay within the horizon read above, and the
+        // look-ahead never crosses the target, so checkpoints still
+        // fall between windows.
+        const std::uint64_t next =
+            h > w ? std::min({slot - end, kMaxWindow, h - w}) : 0;
+        std::exception_ptr plan_error;
+        try {
+            if (next > 0) {
+                planWindow(end, next);
+                ahead = next;
+            }
+        } catch (...) {
+            plan_error = std::current_exception();
+        }
+        gang_->join();
+        endWindow(w, ahead > 0);
+        if (plan_error)
+            std::rethrow_exception(plan_error);
+    }
+}
+
+std::uint64_t
+CrossbarRun::horizon() const
+{
+    std::uint64_t h = UINT64_MAX;
+    for (const auto &in : inputs_)
+        h = std::min(h, in->buffer().admitHorizon());
+    return h;
+}
+
+void
+CrossbarRun::planWindow(std::uint64_t first, std::uint64_t w)
+{
+    const unsigned n = cfg_.ports;
+    for (auto &p : planners_) {
+        p.markRng = p.rng;
+        p.markBurst = p.burst;
+    }
+    mark_ = counters_;
+    try {
+        for (std::uint64_t t = first; t < first + w; ++t) {
+            // occ_ holds the start-of-slot credits: cells arrived but
+            // not yet requested, exactly what the fabric may move.
+            // An all-empty fabric slot never consults the scheduler,
+            // so its RNG/pointer state stays a pure function of the
+            // traffic it actually arbitrated.
+            if (occ_.total() > 0) {
+                sched_->schedule(occ_, match_);
+                const unsigned edges = validate(t, match_);
+                const unsigned iters = sched_->lastIterations();
+                ++counters_.activeSlots;
+                counters_.iterSum += iters;
+                counters_.matchEdges += edges;
+                if (onMatch)
+                    onMatch(t, occ_, match_, iters);
+            } else {
+                std::fill(match_.begin(), match_.end(), kInvalidQueue);
+            }
+            for (unsigned i = 0; i < n; ++i) {
+                Planner &p = planners_[i];
+                const QueueId g = match_[i];
+                if (g != kInvalidQueue)
+                    occ_.set(i, g, occ_.at(i, g) - 1);
+                const QueueId a = CrossbarPortWorkload::drawArrival(
+                    p.dest, p.load, p.rng, p.burst);
+                if (a != kInvalidQueue)
+                    occ_.set(i, a, occ_.at(i, a) + 1);
+                p.ahead.emplace_back(a, g);
+            }
+        }
+    } catch (...) {
+        rollback();
+        throw;
     }
 }
 
 void
-CrossbarRun::stepInputs(std::uint64_t w)
+CrossbarRun::rollback()
+{
+    for (auto &p : planners_) {
+        p.rng = p.markRng;
+        p.burst = p.markBurst;
+        p.ahead.clear();
+    }
+    counters_ = mark_;
+}
+
+void
+CrossbarRun::endWindow(std::uint64_t w, bool lookahead)
 {
     const unsigned n = cfg_.ports;
-    const std::uint64_t end = executed_ + w;
-    for (unsigned i = 0; i < n; ++i)
-        drops_[i] = wl_[i]->drops();
-    // Inside a sweep task the pool already fills the CPUs.
-    const unsigned size = std::min(
-        n, sweep::onSweepWorker() ? 1u : sweep::availableCpus());
-    if (w >= kMinFanOut && size > 1) {
-        if (!gang_)
-            gang_ = std::make_unique<Gang>(*this, size);
-        gang_->run(end);
-    } else {
-        stepShare(0, 1, end);
-    }
     for (auto &e : errors_) {
         if (e) {
             const std::exception_ptr first = e;
             std::fill(errors_.begin(), errors_.end(), nullptr);
+            if (lookahead)
+                rollback();
             std::rethrow_exception(first);
         }
     }
@@ -537,24 +661,24 @@ CrossbarRun::stepInputs(std::uint64_t w)
         for (unsigned j = 0; j < n; ++j)
             occ_.set(i, j, wl_[i]->credit(j));
     }
+    executed_ += w;
 }
 
 void
-CrossbarRun::stepShare(unsigned first, unsigned stride,
-                       std::uint64_t end)
+CrossbarRun::stepInput(unsigned i, std::uint64_t end)
 {
-    for (unsigned i = first; i < cfg_.ports; i += stride) {
-        try {
-            inputs_[i]->runTo(end);
-        } catch (...) {
-            errors_[i] = std::current_exception();
-        }
+    try {
+        inputs_[i]->runTo(end);
+    } catch (...) {
+        errors_[i] = std::current_exception();
     }
 }
 
 std::string
 CrossbarRun::checkpoint() const
 {
+    if (failed_)
+        std::rethrow_exception(failed_);
     ser::Writer w;
     ser::save(w, *this);
     return soak::sealCheckpoint(w.bytes(), fingerprint_);
@@ -578,9 +702,9 @@ CrossbarRun::fields(ser::Io &io)
     fatal_if(io.reading() && executed_ > cfg_.slots,
              "checkpoint: executed slot ", executed_,
              " beyond the main phase (", cfg_.slots, ")");
-    io.u64(match_edges_);
-    io.u64(active_slots_);
-    io.u64(iter_sum_);
+    io.u64(counters_.matchEdges);
+    io.u64(counters_.activeSlots);
+    io.u64(counters_.iterSum);
     sched_->fields(io);
     io.fixedCount(inputs_.size(), "crossbar inputs");
     for (auto &in : inputs_) {
@@ -595,6 +719,8 @@ CrossbarRun::fields(ser::Io &io)
     }
     if (!io.reading())
         return;
+    failed_ = nullptr;
+    data_end_ = executed_;
     const unsigned ports = cfg_.ports;
     for (unsigned i = 0; i < ports; ++i)
         for (unsigned j = 0; j < ports; ++j)
@@ -617,15 +743,15 @@ CrossbarRun::finish()
         out.inputs.push_back(in->finish());
     auto &r = out.report;
     fabric::aggregate(out.inputs, r);
-    r.matchEdges = match_edges_;
-    r.activeSlots = active_slots_;
-    r.iterSum = iter_sum_;
+    r.matchEdges = counters_.matchEdges;
+    r.activeSlots = counters_.activeSlots;
+    r.iterSum = counters_.iterSum;
     const auto ratio = [](std::uint64_t num, std::uint64_t den) {
         return den ? static_cast<double>(num) / den : 0.0;
     };
-    r.throughput = ratio(match_edges_, r.arrivals);
-    r.meanMatchSize = ratio(match_edges_, active_slots_);
-    r.meanIterations = ratio(iter_sum_, active_slots_);
+    r.throughput = ratio(r.matchEdges, r.arrivals);
+    r.meanMatchSize = ratio(r.matchEdges, r.activeSlots);
+    r.meanIterations = ratio(r.iterSum, r.activeSlots);
     out.passed = why.empty() && r.failed == 0;
     if (!out.passed) {
         out.failure = fabric::failureText(why, plans_, out.inputs) +
@@ -645,10 +771,10 @@ inputRecord(const InputPlan &plan, const sim::ScenarioOutcome &out)
 {
     auto rec = sweep::scenarioRecord(plan.scenario, out);
     rec.set("input", plan.input)
-        .set("pattern", sw::toString(plan.dest.pattern));
-    if (plan.dest.pattern == sw::TrafficPattern::Incast)
+        .set("pattern", fabric::toString(plan.dest.pattern));
+    if (plan.dest.pattern == fabric::TrafficPattern::Incast)
         rec.set("victim_output", plan.dest.victim);
-    if (plan.dest.pattern == sw::TrafficPattern::Permutation)
+    if (plan.dest.pattern == fabric::TrafficPattern::Permutation)
         rec.set("target_output", plan.dest.permTarget);
     return rec;
 }
@@ -659,7 +785,7 @@ crossbarRecord(const CrossbarConfig &cfg, const CrossbarOutcome &out)
     const auto &r = out.report;
     sweep::Record rec;
     rec.set("name", cfg.name())
-        .set("pattern", sw::toString(cfg.pattern))
+        .set("pattern", fabric::toString(cfg.pattern))
         .set("scheduler", xbar::toString(cfg.scheduler))
         .set("islip_iters", cfg.islipIterations)
         .set("qps_window", cfg.qpsWindow)
@@ -696,7 +822,7 @@ emitCrossbarArtifacts(const CrossbarConfig &cfg,
                       const std::string &csv_path)
 {
     extra_meta.set("crossbar", cfg.name())
-        .set("pattern", sw::toString(cfg.pattern))
+        .set("pattern", fabric::toString(cfg.pattern))
         .set("scheduler", xbar::toString(cfg.scheduler))
         .set("ports", cfg.ports)
         .set("master_seed", cfg.masterSeed);

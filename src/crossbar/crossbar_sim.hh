@@ -20,19 +20,31 @@
  * scheduler its Occupancy of every input's VOQ credits, validates
  * the matching (conflict-free, backed -- panics otherwise: a bad
  * matching is a scheduler bug), draws each input's arrival from that
- * input's own RNG, queues {arrival, grant} in the input's workload
- * and projects the credits (-grant, +arrival).  Its data plane then
- * steps every input through the window, spread over a worker gang
- * (one thread per CPU in the affinity mask, up to one per input,
- * started on the first window of at least 32 slots; shorter windows,
- * and every window of a run inside a runSweep pool task, step on the
- * caller).  The projection is exact because admission is the only
- * way a buffer feeds back: a window is no longer than any input's
- * admitHorizon(), within which every arrival is admitted.  A horizon of 0 (renaming)
- * leaves one lockstep slot, after which a dropped arrival's credit
- * is re-read.  Every RNG stream is per input or per scheduler and
- * checkpoints fall between windows, so the bytes do not depend on
- * the window lengths or the gang size.
+ * input's own RNG, queues {arrival, grant} in the input's look-ahead
+ * script and projects the credits (-grant, +arrival).  Its data
+ * plane then steps every input through the window.  The projection
+ * is exact because admission is the only way a buffer feeds back:
+ * an input takes at most one arrival per slot, and within its
+ * admitHorizon() every arrival is admitted.  A horizon of 0
+ * (renaming) leaves one lockstep slot, after which a dropped
+ * arrival's credit is re-read.
+ *
+ * Windows of at least 32 slots fan out to a worker gang (one thread
+ * per further CPU in the affinity mask, up to one per input, started
+ * on the first such window; inside a runSweep pool task everything
+ * steps on the caller).  While the gang steps window k, the caller
+ * plans window k+1, then steps whatever inputs the workers have not
+ * claimed yet.  Both windows fit the horizon h read before window k
+ * (w_k + w_{k+1} <= h): window k admits at most w_k cells, so the
+ * horizon read before window k+1 is still at least w_{k+1}.  Each
+ * input's planning state -- its arrival stream, a copy of its
+ * DestPlan, its look-ahead script -- sits on cache lines the data
+ * plane never writes.  A look-ahead never crosses the runTo()
+ * target, and an input that fails discards it (streams, counters
+ * and scripts back at the window boundary), so checkpoints still
+ * fall between windows.  Every RNG stream is per input or per
+ * scheduler, so the bytes do not depend on the window lengths or
+ * the gang size.
  *
  * Because each input is a plain ScenarioRun, a 1x1 crossbar
  * reproduces the matching single-buffer scenario leg bit-for-bit (any
@@ -42,8 +54,8 @@
  * run.  tests/test_crossbar.cc enforces both, and that any split of
  * runTo() calls gives the same bytes.
  *
- * Destination patterns reuse the switch layer's TrafficPattern
- * vocabulary, reinterpreted over *outputs*: uniform spreads each
+ * Destination patterns use the fabric's TrafficPattern vocabulary
+ * (fabric/traffic.hh), read over *outputs*: uniform spreads each
  * input's arrivals over all outputs, hotspot concentrates a fraction
  * on a few hot outputs, incast aims bursts at one victim output,
  * permutation pins each input to a fixed seeded partner output.
@@ -69,7 +81,7 @@
 #include "sim/workload.hh"
 #include "soak/checkpoint.hh"
 #include "sweep/record.hh"
-#include "switch/traffic.hh"
+#include "fabric/traffic.hh"
 
 namespace pktbuf::xbar
 {
@@ -81,7 +93,7 @@ struct CrossbarConfig
     unsigned ports = 4;
 
     /** Destination pattern, over *outputs* (see file comment). */
-    sw::TrafficPattern pattern = sw::TrafficPattern::Uniform;
+    fabric::TrafficPattern pattern = fabric::TrafficPattern::Uniform;
 
     SchedulerKind scheduler = SchedulerKind::Islip;
     /** iSLIP request/grant/accept rounds per slot. */
@@ -156,7 +168,7 @@ struct CrossbarConfig
 /** Resolved destination process of one input (pure data). */
 struct DestPlan
 {
-    sw::TrafficPattern pattern = sw::TrafficPattern::Uniform;
+    fabric::TrafficPattern pattern = fabric::TrafficPattern::Uniform;
     /** Output count (the VOQ fan-out). */
     unsigned outputs = 1;
     /** Hotspot: hot outputs are [0, hotOutputs). */
@@ -200,14 +212,16 @@ struct InputPlan
 std::vector<InputPlan> planCrossbar(const CrossbarConfig &cfg);
 
 /**
- * Workload of one crossbar input.  The fabric's control plane calls
- * plan() once per slot: it draws the slot's arrival VOQ from the
- * input's DestPlan (own RNG -- streams are input-local) and queues it
- * with the matching's grant.  The input's data plane then replays
- * that script, one planned slot per step; drawing ahead consumes the
- * RNG stream in exactly the order a lockstep run would.  A slot with
- * no plan left (only after the fabric aborted a window) draws its own
- * arrival and requests nothing.
+ * Workload of one crossbar input.  The fabric's control plane plans
+ * each slot: it draws the slot's arrival VOQ from the input's
+ * DestPlan (own RNG stream -- streams are input-local) and pairs it
+ * with the matching's grant.  It owns the stream while it plans
+ * (takeStream / returnStream) and hands each planned window over
+ * with play(); the input's data plane then replays that script, one
+ * planned slot per step.  Drawing ahead consumes the RNG stream in
+ * exactly the order a lockstep run would.  A slot with no plan left
+ * (only after the fabric aborted a window) draws its own arrival and
+ * requests nothing.
  *
  * In self-greedy mode (valid only for 1 output) the workload instead
  * draws its own arrival and requests its single VOQ whenever the VOQ
@@ -219,6 +233,36 @@ std::vector<InputPlan> planCrossbar(const CrossbarConfig &cfg);
 class CrossbarPortWorkload : public sim::Workload
 {
   public:
+    /**
+     * One planned slot: its arrival VOQ and its grant, 16 bits each
+     * (a radix is at most fabric::kMaxPorts), kNone for none.
+     */
+    struct Planned
+    {
+        static constexpr std::uint16_t kNone = 0xffff;
+        static_assert(fabric::kMaxPorts <= kNone);
+
+        Planned(QueueId a, QueueId g) : arrival(pack(a)), grant(pack(g))
+        {}
+
+        static std::uint16_t
+        pack(QueueId q)
+        {
+            return q == kInvalidQueue ? kNone
+                                      : static_cast<std::uint16_t>(q);
+        }
+
+        static QueueId
+        unpack(std::uint16_t v)
+        {
+            return v == kNone ? kInvalidQueue : QueueId{v};
+        }
+
+        std::uint16_t arrival;
+        std::uint16_t grant;
+    };
+    using Script = std::vector<Planned>;
+
     /**
      * @param dest resolved destination process
      * @param seed this input's RNG seed
@@ -232,11 +276,35 @@ class CrossbarPortWorkload : public sim::Workload
     std::string name() const override { return "crossbar-voq"; }
 
     /**
-     * Plan the next unplayed slot: draw its arrival and queue it
-     * with `grant` (kInvalidQueue = unmatched).
+     * Draw one slot's arrival VOQ from a destination process.
+     * @param burst the incast burst counter that goes with `rng`
      * @return the arrival VOQ, or kInvalidQueue when no cell arrives
      */
-    QueueId plan(QueueId grant);
+    static QueueId drawArrival(const DestPlan &dest, double load,
+                               Rng &rng, std::uint64_t &burst);
+
+    /** Copy the arrival stream (RNG, incast burst counter) out to a
+     *  planner; returnStream() hands the advanced stream back. */
+    void
+    takeStream(Rng &rng, std::uint64_t &burst) const
+    {
+        rng = rng_;
+        burst = burst_remaining_;
+    }
+
+    void
+    returnStream(const Rng &rng, std::uint64_t burst)
+    {
+        rng_ = rng;
+        burst_remaining_ = burst;
+    }
+
+    /**
+     * Play `script` next, one entry per slot.  The previous script
+     * must be played out; its storage comes back in `script`, empty,
+     * so the two vectors alternate without allocating.
+     */
+    void play(Script &script);
 
   protected:
     QueueId arrivalQueue(Slot now) override;
@@ -244,16 +312,6 @@ class CrossbarPortWorkload : public sim::Workload
     void extraFields(ser::Io &io) override;
 
   private:
-    /** One planned slot. */
-    struct Planned
-    {
-        QueueId arrival;
-        QueueId grant;
-    };
-
-    /** Draw this slot's arrival VOQ from the destination process. */
-    QueueId pickArrival();
-
     DestPlan dest_;  // ser: config
     double load_;  // ser: config
     bool self_greedy_;  // ser: config
@@ -262,7 +320,7 @@ class CrossbarPortWorkload : public sim::Workload
      * data plane plays the last one, so a checkpoint (taken between
      * windows) finds it empty.  The storage is reused.
      */
-    std::vector<Planned> script_;  // ser: derived
+    Script script_;  // ser: derived
     std::size_t next_ = 0;  // ser: derived
     /** Incast: cells left in the current victim-directed burst. */
     std::uint64_t burst_remaining_ = 0;
@@ -342,12 +400,24 @@ class CrossbarRun
     /**
      * Advance the main phase to absolute slot `slot` (<= slots), one
      * window at a time (see the file comment).  An exception in an
-     * input is rethrown here -- the lowest-numbered failing input's.
+     * input is rethrown here -- the lowest-numbered failing input's
+     * -- and fails the run for good: the window's look-ahead is
+     * discarded, and every later runTo() or checkpoint() rethrows
+     * the same exception.
      */
     void runTo(std::uint64_t slot);
 
     /** Main-phase slots executed so far. */
     std::uint64_t executed() const { return executed_; }
+
+    /**
+     * End of the window the inputs are stepping (or last stepped):
+     * no input steps a slot at or beyond it.  While the gang steps a
+     * window, the control plane plans the next one, so onMatch may
+     * see dataPlaneEnd() > executed(), but never a slot below
+     * dataPlaneEnd().  Read it on the thread that called runTo().
+     */
+    std::uint64_t dataPlaneEnd() const { return data_end_; }
 
     /**
      * Snapshot the fabric into a sealed soak envelope ("PKCK",
@@ -375,8 +445,12 @@ class CrossbarRun
      * Test observer: called once per *active* slot (non-empty
      * occupancy) with the start-of-slot occupancy, the validated
      * matching and the scheduler's iteration count.  It fires on the
-     * thread that called runTo(), from the control plane, before the
-     * inputs step that slot.  Not part of the checkpointed state.
+     * thread that called runTo(), from the control plane, for
+     * strictly increasing slots, and always before any input steps
+     * that slot -- possibly while the gang steps an earlier window
+     * (see dataPlaneEnd()).  It must not touch the inputs.  An
+     * exception from it fails the run like an input's would.  Not
+     * part of the checkpointed state.
      */
     std::function<void(Slot, const Occupancy &, const Matching &,
                        unsigned)>
@@ -386,14 +460,56 @@ class CrossbarRun
     /** The worker threads that step the inputs (crossbar_sim.cc). */
     struct Gang;
 
-    void validate(Slot t, const Matching &m);
-    /** Control plane: match and plan the `w` slots from executed_. */
-    void planWindow(std::uint64_t w);
-    /** Data plane: play the planned `w` slots on every input. */
-    void stepInputs(std::uint64_t w);
-    /** Step inputs first, first + stride, ... to slot `end`,
-     *  recording each one's exception in errors_. */
-    void stepShare(unsigned first, unsigned stride, std::uint64_t end);
+    /**
+     * One input's control-plane state, alone on its cache lines:
+     * the data plane never writes it, and the planner writes nothing
+     * else the data plane reads while a window steps.
+     */
+    struct alignas(64) Planner
+    {
+        /** Copies of the input's destination process. */
+        DestPlan dest;
+        double load = 0.0;
+        /** The input's arrival stream while runTo() holds it. */
+        Rng rng{0};  // seed: replaced by takeStream() before any draw
+        std::uint64_t burst = 0;
+        /** The stream before the window being planned: rollback(). */
+        Rng markRng{0};  // seed: replaced by planWindow() before use
+        std::uint64_t markBurst = 0;
+        /** The planned window the input has not been handed yet. */
+        CrossbarPortWorkload::Script ahead;
+    };
+
+    /** The fabric's counters (main phase only). */
+    struct Counters
+    {
+        std::uint64_t matchEdges = 0;
+        std::uint64_t activeSlots = 0;
+        std::uint64_t iterSum = 0;
+    };
+
+    /** @return the matching's edge count; panics on a bad one. */
+    unsigned validate(Slot t, const Matching &m);
+    /** The windows of runTo(slot), the streams already taken. */
+    void advance(std::uint64_t slot);
+    /** The smallest admitHorizon() over the inputs. */
+    std::uint64_t horizon() const;
+    /**
+     * Control plane: match and plan the `w` slots from `first` into
+     * the planners' look-ahead scripts.  Marks the planners and
+     * counters first, and rolls back to the mark if it throws.
+     */
+    void planWindow(std::uint64_t first, std::uint64_t w);
+    /** Drop the look-ahead: planners and counters back to the mark. */
+    void rollback();
+    /**
+     * After a `w`-slot window: rethrow an input's exception (rolling
+     * back a pending look-ahead first), re-read any dropped
+     * arrival's credits, advance executed_.
+     */
+    void endWindow(std::uint64_t w, bool lookahead);
+    /** Step input `i` to slot `end`, recording its exception. */
+    void stepInput(unsigned i, std::uint64_t end);
 
     CrossbarConfig cfg_;  // ser: config
     std::vector<InputPlan> plans_;  // ser: config
@@ -403,22 +519,31 @@ class CrossbarRun
     /** The inputs' workloads (owned by inputs_), for planning and
      *  credit reads. */
     std::vector<CrossbarPortWorkload *> wl_;  // ser: config
+    /** One per input; their streams live in the workloads between
+     *  runTo() calls. */
+    std::vector<Planner> planners_;  // ser: derived
     /**
      * The inputs' VOQ credits, projected slot by slot by the control
      * plane: a slot takes one cell from input i's granted VOQ and
      * adds its arrival.  Only restore() reads all N^2 credits.
      */
     Occupancy occ_;  // ser: derived
+    /** planWindow() scratch: the slot's matching. */
+    Matching match_;  // ser: derived
     /** validate() scratch: the outputs a matching used. */
     std::vector<std::uint64_t> taken_;  // ser: derived
-    /** stepInputs() scratch: each input's drops() before the window. */
+    /** Window scratch: each input's drops() before the window. */
     std::vector<std::uint64_t> drops_;  // ser: derived
-    /** stepInputs() scratch: each input's exception in the window. */
+    /** Window scratch: each input's exception in the window. */
     std::vector<std::exception_ptr> errors_;  // ser: derived
     std::uint64_t executed_ = 0;
-    std::uint64_t match_edges_ = 0;
-    std::uint64_t active_slots_ = 0;
-    std::uint64_t iter_sum_ = 0;
+    /** See dataPlaneEnd(). */
+    std::uint64_t data_end_ = 0;  // ser: derived
+    Counters counters_;
+    /** counters_ before the window being planned: rollback(). */
+    Counters mark_;  // ser: derived
+    /** The exception that failed the run, if any (see runTo()). */
+    std::exception_ptr failed_;  // ser: derived
     /** Built on the first window that fans out; declared last so it
      *  stops before anything it steps is destroyed. */
     std::unique_ptr<Gang> gang_;  // ser: derived

@@ -168,6 +168,15 @@ bit(unsigned i)
     return std::uint64_t{1} << (i % 64);
 }
 
+/** firstCyclic() of a non-zero one-word bitset, `from` < 64. */
+unsigned
+firstCyclicWord(std::uint64_t x, unsigned from)
+{
+    const std::uint64_t at_or_after = x & (~std::uint64_t{0} << from);
+    return static_cast<unsigned>(
+        std::countr_zero(at_or_after ? at_or_after : x));
+}
+
 } // namespace
 
 IslipScheduler::IslipScheduler(unsigned ports, unsigned iterations)
@@ -188,14 +197,18 @@ IslipScheduler::name() const
     return os.str();
 }
 
-Matching
-IslipScheduler::schedule(const Occupancy &occ)
+void
+IslipScheduler::schedule(const Occupancy &occ, Matching &match)
 {
     const unsigned n = ports_;
     panic_if(occ.ports() != n, "islip: ", occ.ports(),
              "-port occupancy for ", n, " ports");
+    match.assign(n, kInvalidQueue);
+    if (n <= 64) {
+        scheduleOneWord(occ, match);
+        return;
+    }
     const unsigned words = occ.words();
-    Matching match(n, kInvalidQueue);
     setLow(in_free_, n);
     setLow(out_free_, n);
     last_iters_ = 0;
@@ -246,7 +259,46 @@ IslipScheduler::schedule(const Occupancy &occ)
         }
         ++last_iters_;
     }
-    return match;
+}
+
+void
+IslipScheduler::scheduleOneWord(const Occupancy &occ, Matching &match)
+{
+    const unsigned n = ports_;
+    const std::uint64_t all =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    std::uint64_t in_free = all;
+    std::uint64_t out_free = all;
+    // Per input, the outputs that granted it: one word each.
+    std::uint64_t *grants = grants_.data();
+    last_iters_ = 0;
+    for (unsigned it = 0; it < iterations_; ++it) {
+        std::uint64_t granted = 0;
+        for (auto x = out_free; x; x &= x - 1) {
+            const auto j = static_cast<unsigned>(std::countr_zero(x));
+            const std::uint64_t req = occ.requesterWord(j) & in_free;
+            if (!req)
+                continue;
+            const unsigned i = firstCyclicWord(req, g_[j]);
+            grants[i] |= bit(j);
+            granted |= bit(i);
+        }
+        if (!granted)
+            break;
+        for (auto x = granted; x; x &= x - 1) {
+            const auto i = static_cast<unsigned>(std::countr_zero(x));
+            const unsigned j = firstCyclicWord(grants[i], a_[i]);
+            grants[i] = 0;
+            match[i] = j;
+            in_free &= ~bit(i);
+            out_free &= ~bit(j);
+            if (it == 0) {
+                g_[j] = i + 1 == n ? 0 : i + 1;
+                a_[i] = j + 1 == n ? 0 : j + 1;
+            }
+        }
+        ++last_iters_;
+    }
 }
 
 void
@@ -267,7 +319,8 @@ IslipScheduler::fields(ser::Io &io)
 
 QpsScheduler::QpsScheduler(unsigned ports, unsigned window,
                            std::uint64_t seed)
-    : ports_(ports), window_(window), rng_(seed), held_(ports)
+    : ports_(ports), window_(window), rng_(seed), held_(ports),
+      out_taken_(ports), proposal_(ports)
 {
     fatal_if(ports == 0, "qps: zero ports");
     fatal_if(window == 0, "qps: zero window");
@@ -281,12 +334,13 @@ QpsScheduler::name() const
     return os.str();
 }
 
-Matching
-QpsScheduler::schedule(const Occupancy &occ)
+void
+QpsScheduler::schedule(const Occupancy &occ, Matching &match)
 {
     const unsigned n = ports_;
-    Matching match(n, kInvalidQueue);
-    std::vector<bool> out_taken(n, false);
+    match.assign(n, kInvalidQueue);
+    auto &out_taken = out_taken_;
+    std::fill(out_taken.begin(), out_taken.end(), 0);
     last_iters_ = 0;
 
     // Phase 1 -- sliding-window hold: keep last slot's edge while it
@@ -310,7 +364,8 @@ QpsScheduler::schedule(const Occupancy &occ)
     // Phase 2 -- queue-proportional sampling: one proposal per
     // unmatched input, drawn with probability proportional to VOQ
     // depth; each free output accepts the deepest proposal.
-    std::vector<QueueId> proposal(n, kInvalidQueue);
+    auto &proposal = proposal_;
+    std::fill(proposal.begin(), proposal.end(), kInvalidQueue);
     for (unsigned i = 0; i < n; ++i) {
         if (match[i] != kInvalidQueue)
             continue;
@@ -366,7 +421,6 @@ QpsScheduler::schedule(const Occupancy &occ)
     }
     if (filled_any)
         ++last_iters_;
-    return match;
 }
 
 void
@@ -387,20 +441,21 @@ QpsScheduler::fields(ser::Io &io)
 
 RandomMaximalScheduler::RandomMaximalScheduler(unsigned ports,
                                                std::uint64_t seed)
-    : ports_(ports), rng_(seed)
+    : ports_(ports), rng_(seed), out_taken_(ports), order_(ports)
 {
     fatal_if(ports == 0, "random scheduler: zero ports");
 }
 
-Matching
-RandomMaximalScheduler::schedule(const Occupancy &occ)
+void
+RandomMaximalScheduler::schedule(const Occupancy &occ, Matching &match)
 {
     const unsigned n = ports_;
-    Matching match(n, kInvalidQueue);
-    std::vector<bool> out_taken(n, false);
+    match.assign(n, kInvalidQueue);
+    auto &out_taken = out_taken_;
+    std::fill(out_taken.begin(), out_taken.end(), 0);
 
     // Fresh random service order over the inputs (Fisher-Yates).
-    std::vector<unsigned> order(n);
+    auto &order = order_;
     for (unsigned i = 0; i < n; ++i)
         order[i] = i;
     for (unsigned i = n - 1; i > 0; --i) {
@@ -426,7 +481,6 @@ RandomMaximalScheduler::schedule(const Occupancy &occ)
         }
     }
     last_iters_ = 1;
-    return match;
 }
 
 void

@@ -89,6 +89,13 @@ class Occupancy
                 words_};
     }
 
+    /** requesters(out) of a radix of at most 64: its one word. */
+    std::uint64_t
+    requesterWord(unsigned out) const
+    {
+        return req_[out];
+    }
+
     /** Total cells waiting at one input, across all its VOQs. */
     std::uint64_t
     rowTotal(unsigned in) const
@@ -171,9 +178,20 @@ class Scheduler
     /**
      * Compute this slot's matching from the start-of-slot occupancy.
      * @param occ start-of-slot VOQ depths (ports x ports)
-     * @return a conflict-free matching over non-empty VOQs
+     * @param match receives a conflict-free matching over non-empty
+     *        VOQs, resized to ports (no allocation once it has the
+     *        capacity)
      */
-    virtual Matching schedule(const Occupancy &occ) = 0;
+    virtual void schedule(const Occupancy &occ, Matching &match) = 0;
+
+    /** schedule() into a fresh matching. */
+    Matching
+    schedule(const Occupancy &occ)
+    {
+        Matching match;
+        schedule(occ, match);
+        return match;
+    }
 
     /** Matching passes the last schedule() call used. */
     virtual unsigned lastIterations() const = 0;
@@ -198,7 +216,9 @@ class Scheduler
  * its pointer, cyclically, of its request bitset ANDed with the
  * unmatched inputs; an input's accept is the first set bit at or
  * after its pointer of the outputs that granted it.  An iteration
- * costs O(N * ceil(N / 64)) word operations, not O(N^2) probes.
+ * costs O(N * ceil(N / 64)) word operations, not O(N^2) probes.  A
+ * radix of at most 64 takes a one-word path that keeps the free
+ * sets in registers and makes the same decisions.
  */
 class IslipScheduler : public Scheduler
 {
@@ -211,7 +231,8 @@ class IslipScheduler : public Scheduler
     IslipScheduler(unsigned ports, unsigned iterations);
 
     std::string name() const override;
-    Matching schedule(const Occupancy &occ) override;
+    using Scheduler::schedule;
+    void schedule(const Occupancy &occ, Matching &match) override;
     unsigned lastIterations() const override { return last_iters_; }
     void fields(ser::Io &io) override;
 
@@ -221,6 +242,10 @@ class IslipScheduler : public Scheduler
     const std::vector<unsigned> &acceptPointers() const { return a_; }
 
   private:
+    /** schedule() for a radix of at most 64: every bitset is one
+     *  word, held in a register. */
+    void scheduleOneWord(const Occupancy &occ, Matching &match);
+
     unsigned ports_;  // ser: config
     unsigned iterations_;  // ser: config
     unsigned last_iters_ = 0;  // ser: derived
@@ -260,7 +285,8 @@ class QpsScheduler : public Scheduler
     QpsScheduler(unsigned ports, unsigned window, std::uint64_t seed);
 
     std::string name() const override;
-    Matching schedule(const Occupancy &occ) override;
+    using Scheduler::schedule;
+    void schedule(const Occupancy &occ, Matching &match) override;
     unsigned lastIterations() const override { return last_iters_; }
     void fields(ser::Io &io) override;
 
@@ -276,6 +302,9 @@ class QpsScheduler : public Scheduler
     Rng rng_;
     unsigned last_iters_ = 0;  // ser: derived
     std::vector<Hold> held_;  //!< per input
+    /** schedule() scratch, per output and per input. */
+    std::vector<char> out_taken_;  // ser: derived
+    std::vector<QueueId> proposal_;  // ser: derived
 };
 
 /**
@@ -290,7 +319,8 @@ class RandomMaximalScheduler : public Scheduler
     RandomMaximalScheduler(unsigned ports, std::uint64_t seed);
 
     std::string name() const override { return "random"; }
-    Matching schedule(const Occupancy &occ) override;
+    using Scheduler::schedule;
+    void schedule(const Occupancy &occ, Matching &match) override;
     unsigned lastIterations() const override { return last_iters_; }
     void fields(ser::Io &io) override;
 
@@ -298,6 +328,9 @@ class RandomMaximalScheduler : public Scheduler
     unsigned ports_;  // ser: config
     Rng rng_;
     unsigned last_iters_ = 0;  // ser: derived
+    /** schedule() scratch: taken outputs, the input service order. */
+    std::vector<char> out_taken_;  // ser: derived
+    std::vector<unsigned> order_;  // ser: derived
 };
 
 /**

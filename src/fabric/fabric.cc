@@ -16,26 +16,26 @@ hotCount(unsigned requested, unsigned ports)
 
 void
 checkKnobs(const char *layer, unsigned ports, double load,
-           sw::TrafficPattern pattern, unsigned victim,
+           TrafficPattern pattern, unsigned victim,
            double hot_fraction)
 {
     fatal_if(ports == 0, layer, " needs at least one port");
     fatal_if(ports > kMaxPorts, layer, " has ", ports,
              " ports, more than the limit of ", kMaxPorts);
     fatal_if(load <= 0.0, layer, " load must be positive");
-    fatal_if(pattern == sw::TrafficPattern::Incast && victim >= ports,
+    fatal_if(pattern == TrafficPattern::Incast && victim >= ports,
              layer, " incast victim ", victim, " out of range (", ports,
              " ports)");
     // A fraction at (or beyond) either extreme starves one side of
     // the split outright -- the starved legs would then fail the
     // "delivered no cells" invariant with a misleading diagnosis, so
     // reject the impossible knob up front.
-    fatal_if((pattern == sw::TrafficPattern::Hotspot ||
-              pattern == sw::TrafficPattern::Incast) &&
+    fatal_if((pattern == TrafficPattern::Hotspot ||
+              pattern == TrafficPattern::Incast) &&
                  (hot_fraction <= 0.0 || hot_fraction >= 1.0),
              layer, " hot fraction ", hot_fraction,
              " outside (0, 1) starves one side of the ",
-             sw::toString(pattern), " split");
+             toString(pattern), " split");
 }
 
 StatAgg

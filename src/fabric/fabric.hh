@@ -42,7 +42,7 @@
 #include "sweep/emit.hh"
 #include "sweep/record.hh"
 #include "sweep/sweep.hh"
-#include "switch/traffic.hh"
+#include "fabric/traffic.hh"
 
 namespace pktbuf::fabric
 {
@@ -83,7 +83,7 @@ constexpr unsigned kMaxQueues = 1u << 20;
  * "crossbar") prefixes the message.
  */
 void checkKnobs(const char *layer, unsigned ports, double load,
-                sw::TrafficPattern pattern, unsigned victim,
+                TrafficPattern pattern, unsigned victim,
                 double hot_fraction);
 
 /**
@@ -102,11 +102,11 @@ describeKnobs(std::ostream &os, const Config &cfg, const char *hot_name,
     os << cfg.name() << " groups=" << cfg.groups << " load=" << cfg.load
        << " slots=" << cfg.slots << " master_seed=" << cfg.masterSeed
        << between;
-    if (cfg.pattern == sw::TrafficPattern::Hotspot) {
+    if (cfg.pattern == TrafficPattern::Hotspot) {
         os << " " << hot_name << "=" << hotCount(hot, cfg.ports)
            << " hot_fraction=" << cfg.hotFraction;
     }
-    if (cfg.pattern == sw::TrafficPattern::Incast) {
+    if (cfg.pattern == TrafficPattern::Incast) {
         os << " victim=" << cfg.incastVictim << " burst="
            << cfg.incastBurst << " hot_fraction=" << cfg.hotFraction;
     }

@@ -1,6 +1,6 @@
 #include "traffic.hh"
 
-namespace pktbuf::sw
+namespace pktbuf::fabric
 {
 
 std::string
@@ -36,4 +36,4 @@ parseTrafficPattern(const std::string &token, TrafficPattern &out)
     return true;
 }
 
-} // namespace pktbuf::sw
+} // namespace pktbuf::fabric

@@ -1,9 +1,13 @@
 /**
  * @file
- * Cross-port traffic patterns for the switch layer (src/switch).
+ * Traffic-pattern vocabulary shared by the switch (src/switch) and
+ * the crossbar (src/crossbar).  The switch reads a pattern over its
+ * ports, the crossbar over its outputs (see crossbar_sim.hh); this
+ * header only names the patterns.
  *
- * A pattern decides how the switch's aggregate offered load is split
- * across N ports and which per-port arrival process each port runs:
+ * In the switch, a pattern decides how the aggregate offered load is
+ * split across N ports and which per-port arrival process each port
+ * runs:
  *
  *  - uniform:     every port offers the same Bernoulli load;
  *  - hotspot:     k "hot" ports absorb a configurable fraction of
@@ -23,15 +27,15 @@
  * port-order-independence guarantee.
  */
 
-#ifndef PKTBUF_SWITCH_TRAFFIC_HH
-#define PKTBUF_SWITCH_TRAFFIC_HH
+#ifndef PKTBUF_FABRIC_TRAFFIC_HH
+#define PKTBUF_FABRIC_TRAFFIC_HH
 
 #include <string>
 
-namespace pktbuf::sw
+namespace pktbuf::fabric
 {
 
-/** How the switch's aggregate traffic is spread over the ports. */
+/** How a fabric's aggregate traffic is spread over its ports. */
 enum class TrafficPattern
 {
     Uniform,      //!< same Bernoulli load on every port
@@ -51,6 +55,6 @@ std::string toString(TrafficPattern p);
  */
 bool parseTrafficPattern(const std::string &token, TrafficPattern &out);
 
-} // namespace pktbuf::sw
+} // namespace pktbuf::fabric
 
-#endif // PKTBUF_SWITCH_TRAFFIC_HH
+#endif // PKTBUF_FABRIC_TRAFFIC_HH

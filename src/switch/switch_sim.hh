@@ -36,10 +36,15 @@
 #include "fabric/fabric.hh"
 #include "sim/scenario.hh"
 #include "sweep/record.hh"
-#include "switch/traffic.hh"
+#include "fabric/traffic.hh"
 
 namespace pktbuf::sw
 {
+
+/** The pattern vocabulary under the switch layer's names. */
+using fabric::TrafficPattern;
+using fabric::toString;
+using fabric::parseTrafficPattern;
 
 /** Static configuration of a whole switch run. */
 struct SwitchConfig

@@ -6,8 +6,9 @@
  * replaced, a differential oracle against brute-force maximum
  * matchings, the 1x1 == single-buffer byte equivalence, the
  * 16-port uniform throughput floor, the failure path's text and
- * artifact accounting, checkpoint/restore bit identity and the
- * seeded crossbar fuzz smoke.
+ * artifact accounting, checkpoint/restore bit identity, the pipelined
+ * windows (chunking, onMatch ordering, the look-ahead's rollback on
+ * an input failure) and the seeded crossbar fuzz smoke.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "buffer/hybrid_buffer.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/serialize.hh"
 #include "crossbar/crossbar_sim.hh"
 #include "crossbar/scheduler.hh"
 #include "fabric/fabric.hh"
@@ -63,7 +66,7 @@ outcomeJson(const CrossbarConfig &cfg, const CrossbarOutcome &out)
 }
 
 CrossbarConfig
-baseConfig(unsigned ports, sw::TrafficPattern pattern,
+baseConfig(unsigned ports, fabric::TrafficPattern pattern,
            std::uint64_t slots = 2000)
 {
     CrossbarConfig cfg;
@@ -78,9 +81,9 @@ const SchedulerKind kAllKinds[] = {SchedulerKind::Islip,
                                    SchedulerKind::Qps,
                                    SchedulerKind::RandomMaximal};
 
-const sw::TrafficPattern kAllPatterns[] = {
-    sw::TrafficPattern::Uniform, sw::TrafficPattern::Hotspot,
-    sw::TrafficPattern::Incast, sw::TrafficPattern::Permutation};
+const fabric::TrafficPattern kAllPatterns[] = {
+    fabric::TrafficPattern::Uniform, fabric::TrafficPattern::Hotspot,
+    fabric::TrafficPattern::Incast, fabric::TrafficPattern::Permutation};
 
 /** Build an occupancy from a row-major depth matrix. */
 Occupancy
@@ -307,8 +310,10 @@ TEST(CrossbarScheduler, IslipLaterIterationsLeavePointersAlone)
 TEST(CrossbarScheduler, BitsetIslipMatchesScalarReference)
 {
     // The bitset scheduler and the scalar reference run side by side
-    // with their pointers carried from slot to slot.  Radixes around
-    // the 64-bit word edges exercise the cyclic search across words;
+    // with their pointers carried from slot to slot.  Radixes up to
+    // 64 take the one-word path (1, 63 and 64, whose free sets fill
+    // the whole word); 65 and 130 take the multi-word one, whose
+    // cyclic search crosses word edges;
     // the occupancy drifts a few VOQs per slot and now and then
     // refills at a new density, from empty to full.
     const double densities[] = {0.0, 0.01, 0.1, 0.5, 1.0};
@@ -418,23 +423,23 @@ TEST(CrossbarScheduler, SaveLoadReplaysEverySchedulerBitForBit)
 
 TEST(CrossbarPlan, ImpossibleKnobsAreFatal)
 {
-    CrossbarConfig cfg = baseConfig(0, sw::TrafficPattern::Uniform);
+    CrossbarConfig cfg = baseConfig(0, fabric::TrafficPattern::Uniform);
     EXPECT_THROW(planCrossbar(cfg), FatalError);
-    cfg = baseConfig(4, sw::TrafficPattern::Incast);
+    cfg = baseConfig(4, fabric::TrafficPattern::Incast);
     cfg.incastVictim = 4;  // out of range
     EXPECT_THROW(planCrossbar(cfg), FatalError);
-    cfg = baseConfig(4, sw::TrafficPattern::Uniform);
+    cfg = baseConfig(4, fabric::TrafficPattern::Uniform);
     cfg.load = 0.0;
     EXPECT_THROW(planCrossbar(cfg), FatalError);
-    cfg = baseConfig(4, sw::TrafficPattern::Hotspot);
+    cfg = baseConfig(4, fabric::TrafficPattern::Hotspot);
     cfg.hotFraction = 1.5;
     EXPECT_THROW(planCrossbar(cfg), FatalError);
     cfg.hotFraction = 0.0;
     EXPECT_THROW(planCrossbar(cfg), FatalError);
-    cfg = baseConfig(4, sw::TrafficPattern::Incast);
+    cfg = baseConfig(4, fabric::TrafficPattern::Incast);
     cfg.hotFraction = 1.0;
     EXPECT_THROW(planCrossbar(cfg), FatalError);
-    cfg = baseConfig(fabric::kMaxPorts + 1, sw::TrafficPattern::Uniform);
+    cfg = baseConfig(fabric::kMaxPorts + 1, fabric::TrafficPattern::Uniform);
     EXPECT_THROW(planCrossbar(cfg), FatalError);
 }
 
@@ -443,7 +448,7 @@ TEST(CrossbarPlan, LoadsResolveWithinAdmissibleCaps)
     // Permutation concentrates each input's whole rate on one VOQ,
     // so the per-VOQ bound clamps the input load.
     CrossbarConfig cfg =
-        baseConfig(8, sw::TrafficPattern::Permutation);
+        baseConfig(8, fabric::TrafficPattern::Permutation);
     cfg.load = 0.9;
     auto plans = planCrossbar(cfg);
     ASSERT_EQ(plans.size(), 8u);
@@ -456,7 +461,7 @@ TEST(CrossbarPlan, LoadsResolveWithinAdmissibleCaps)
     }
 
     // A 1x1 crossbar is the same concentration regardless of pattern.
-    cfg = baseConfig(1, sw::TrafficPattern::Uniform);
+    cfg = baseConfig(1, fabric::TrafficPattern::Uniform);
     cfg.load = 0.9;
     plans = planCrossbar(cfg);
     EXPECT_DOUBLE_EQ(plans[0].scenario.load,
@@ -464,7 +469,7 @@ TEST(CrossbarPlan, LoadsResolveWithinAdmissibleCaps)
 
     // Hotspot: the hot side's fraction is clamped so no hot output
     // sees more than kMaxSkewedOutputLoad in aggregate.
-    cfg = baseConfig(8, sw::TrafficPattern::Hotspot);
+    cfg = baseConfig(8, fabric::TrafficPattern::Hotspot);
     cfg.load = 0.9;
     cfg.hotFraction = 0.9;
     plans = planCrossbar(cfg);
@@ -477,7 +482,7 @@ TEST(CrossbarPlan, LoadsResolveWithinAdmissibleCaps)
 
     // Incast: the burst-start probability is a real probability and
     // the implied victim fraction respects the same output cap.
-    cfg = baseConfig(6, sw::TrafficPattern::Incast);
+    cfg = baseConfig(6, fabric::TrafficPattern::Incast);
     cfg.load = 0.9;
     cfg.hotFraction = 0.9;
     cfg.incastVictim = 3;
@@ -508,7 +513,7 @@ TEST(CrossbarRun, InvariantsHoldForEverySchedulerAndPattern)
     for (const auto kind : kAllKinds) {
         for (const auto pattern : kAllPatterns) {
             SCOPED_TRACE(toString(kind) + std::string("/")
-                         + sw::toString(pattern));
+                         + fabric::toString(pattern));
             CrossbarConfig cfg = baseConfig(4, pattern, 1500);
             cfg.scheduler = kind;
             cfg.islipIterations = 4;  // N rounds => maximal
@@ -517,7 +522,7 @@ TEST(CrossbarRun, InvariantsHoldForEverySchedulerAndPattern)
     }
     // 65 ports: input and output 64 sit in a second bitset word.
     SCOPED_TRACE("islip/uniform/65 ports");
-    CrossbarConfig cfg = baseConfig(65, sw::TrafficPattern::Uniform, 1500);
+    CrossbarConfig cfg = baseConfig(65, fabric::TrafficPattern::Uniform, 1500);
     cfg.islipIterations = 65;
     check(cfg);
 }
@@ -533,7 +538,7 @@ TEST(CrossbarRun, OracleBoundsEverySlotAndIslipNearsMaximum)
             SCOPED_TRACE(toString(kind) + std::string(" ports=")
                          + std::to_string(ports));
             CrossbarConfig cfg =
-                baseConfig(ports, sw::TrafficPattern::Uniform, 3000);
+                baseConfig(ports, fabric::TrafficPattern::Uniform, 3000);
             cfg.scheduler = kind;
             cfg.islipIterations = ports;
             cfg.load = 0.6;
@@ -583,7 +588,7 @@ TEST(CrossbarEquivalence, OnePortReproducesSingleBufferLeg)
     for (const auto kind : kAllKinds) {
         SCOPED_TRACE(toString(kind));
         CrossbarConfig cfg =
-            baseConfig(1, sw::TrafficPattern::Uniform, 4000);
+            baseConfig(1, fabric::TrafficPattern::Uniform, 4000);
         cfg.scheduler = kind;
         cfg.masterSeed = 23;
         const auto out = runCrossbar(cfg);
@@ -608,7 +613,7 @@ TEST(CrossbarRun, SixteenPortUniformIslipSustainsThroughput)
     // The acceptance bar: 16 ports, uniform admissible load, iSLIP
     // with 4 iterations serves >= 95% of offered cells in-phase.
     CrossbarConfig cfg =
-        baseConfig(16, sw::TrafficPattern::Uniform, 6000);
+        baseConfig(16, fabric::TrafficPattern::Uniform, 6000);
     cfg.scheduler = SchedulerKind::Islip;
     cfg.islipIterations = 4;
     cfg.load = 0.6;
@@ -621,10 +626,48 @@ TEST(CrossbarRun, SixteenPortUniformIslipSustainsThroughput)
     EXPECT_EQ(out.report.drops, 0u);
 }
 
+TEST(CrossbarRun, OnMatchFiresOnTheCallerAheadOfTheDataPlane)
+{
+    // onMatch runs on the control plane: on the thread that called
+    // runTo(), for strictly increasing slots, never for a slot an
+    // input may already have stepped.  With a gang it also fires for
+    // the next window while the current one steps.
+    for (const auto kind : kAllKinds) {
+        SCOPED_TRACE(toString(kind));
+        CrossbarConfig cfg =
+            baseConfig(16, fabric::TrafficPattern::Uniform, 3000);
+        cfg.scheduler = kind;
+        cfg.load = 0.85;
+        CrossbarRun run(cfg);
+        const auto caller = std::this_thread::get_id();
+        std::uint64_t calls = 0;
+        std::uint64_t ahead = 0;
+        Slot last = 0;
+        run.onMatch = [&](Slot t, const Occupancy &, const Matching &,
+                          unsigned) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            EXPECT_TRUE(calls == 0 || t > last) << t << " after " << last;
+            EXPECT_GE(t, run.dataPlaneEnd()) << "slot " << t;
+            ahead += run.dataPlaneEnd() > run.executed() ? 1 : 0;
+            last = t;
+            ++calls;
+        };
+        for (const std::uint64_t to : {1000u, 1001u, 2287u, 3000u})
+            run.runTo(to);
+        EXPECT_GT(calls, 2000u);
+        if (sweep::availableCpus() > 1) {
+            EXPECT_GT(ahead, 0u) << "no slot was planned ahead";
+        }
+        run.onMatch = nullptr;
+        const auto out = run.finish();
+        EXPECT_TRUE(out.passed) << out.failure;
+    }
+}
+
 TEST(CrossbarRun, RepeatRunsAreByteIdentical)
 {
     CrossbarConfig cfg =
-        baseConfig(4, sw::TrafficPattern::Hotspot, 2000);
+        baseConfig(4, fabric::TrafficPattern::Hotspot, 2000);
     cfg.scheduler = SchedulerKind::Qps;
     EXPECT_EQ(outcomeJson(cfg, runCrossbar(cfg)),
               outcomeJson(cfg, runCrossbar(cfg)));
@@ -634,7 +677,7 @@ TEST(CrossbarFailure, FailedInputsFailTheRunAndTheArtifact)
 {
     // One slot at load 0.05: inputs see no arrival, deliver no cells
     // and fail their leg's liveness invariant.
-    CrossbarConfig cfg = baseConfig(4, sw::TrafficPattern::Uniform, 1);
+    CrossbarConfig cfg = baseConfig(4, fabric::TrafficPattern::Uniform, 1);
     cfg.load = 0.05;
     const auto out = runCrossbar(cfg);
     EXPECT_FALSE(out.passed);
@@ -668,10 +711,10 @@ TEST(CrossbarCheckpoint, RestoreIsBitIdenticalForEveryScheduler)
     // demand the artifact bytes of the stitched run match a plain
     // one.  Incast exercises the burst-machine serialization.
     for (const auto kind : kAllKinds) {
-        for (const auto pattern : {sw::TrafficPattern::Uniform,
-                                   sw::TrafficPattern::Incast}) {
+        for (const auto pattern : {fabric::TrafficPattern::Uniform,
+                                   fabric::TrafficPattern::Incast}) {
             SCOPED_TRACE(toString(kind) + std::string("/")
-                         + sw::toString(pattern));
+                         + fabric::toString(pattern));
             CrossbarConfig cfg = baseConfig(4, pattern, 3000);
             cfg.scheduler = kind;
             const auto plain = runCrossbar(cfg);
@@ -695,7 +738,7 @@ TEST(CrossbarCheckpoint, RestoreIsBitIdenticalWhenArrivalsDrop)
     for (const auto kind : kAllKinds) {
         SCOPED_TRACE(toString(kind));
         CrossbarConfig cfg =
-            baseConfig(2, sw::TrafficPattern::Uniform, 50000);
+            baseConfig(2, fabric::TrafficPattern::Uniform, 50000);
         cfg.scheduler = kind;
         cfg.variant = sim::BufferVariant::CfdsRenaming;
         cfg.load = 1.0;
@@ -713,7 +756,7 @@ TEST(CrossbarCheckpoint, RestoreIsBitIdenticalWhenArrivalsDrop)
 TEST(CrossbarCheckpoint, ForeignOrCorruptEnvelopesAreFatal)
 {
     CrossbarConfig cfg =
-        baseConfig(3, sw::TrafficPattern::Uniform, 1000);
+        baseConfig(3, fabric::TrafficPattern::Uniform, 1000);
     CrossbarRun a(cfg);
     a.runTo(400);
     const auto bytes = a.checkpoint();
@@ -779,14 +822,17 @@ runInChunks(const CrossbarConfig &cfg,
 
 TEST(CrossbarWindow, AnyRunToChunkingIsByteIdentical)
 {
-    // The control plane plans up to 256 slots ahead and a worker
-    // gang steps the inputs through them; windows under 32 slots stay
-    // on the caller.  One runTo() for the whole phase, one per slot
-    // and odd chunks around both thresholds must leave the same
-    // checkpoint bytes at every boundary they share, and finish with
-    // the same artifact.
-    const std::vector<std::uint64_t> odd = {1, 31, 33, 255, 257};
-    constexpr std::uint64_t kSlots = 1200;
+    // The control plane plans windows of up to 256 slots, the next
+    // one while a worker gang steps the inputs through the current
+    // one; windows under 32 slots stay on the caller.  One runTo()
+    // for the whole phase, one per slot and odd chunks around both
+    // thresholds must leave the same checkpoint bytes at every
+    // boundary they share, and finish with the same artifact.  A
+    // 287-slot chunk (256 + 31) leaves a look-ahead too short to fan
+    // out, and 545 (256 + 256 + 33) one that does.
+    const std::vector<std::uint64_t> odd = {1, 31, 33, 255, 257, 287,
+                                            545};
+    constexpr std::uint64_t kSlots = 2400;
     std::vector<std::uint64_t> bounds;
     for (std::uint64_t t = 0, k = 0; t < kSlots;) {
         t = std::min(kSlots, t + odd[k++ % odd.size()]);
@@ -797,7 +843,7 @@ TEST(CrossbarWindow, AnyRunToChunkingIsByteIdentical)
             for (const auto variant : {sim::BufferVariant::Cfds,
                                        sim::BufferVariant::Rads}) {
                 SCOPED_TRACE(toString(kind) + std::string("/")
-                             + sw::toString(pattern) + "/"
+                             + fabric::toString(pattern) + "/"
                              + sim::toString(variant));
                 CrossbarConfig cfg = baseConfig(5, pattern, kSlots);
                 cfg.scheduler = kind;
@@ -829,7 +875,7 @@ TEST(CrossbarWindow, DroppingRenamingInputsStepOneSlotAtATime)
     for (const auto kind : kAllKinds) {
         SCOPED_TRACE(toString(kind));
         CrossbarConfig cfg =
-            baseConfig(2, sw::TrafficPattern::Uniform, 20000);
+            baseConfig(2, fabric::TrafficPattern::Uniform, 20000);
         cfg.scheduler = kind;
         cfg.variant = sim::BufferVariant::CfdsRenaming;
         cfg.load = 1.0;
@@ -918,5 +964,130 @@ TEST(CrossbarFuzz, CrossbarFuzzSmoke)
         ASSERT_TRUE(stitched.passed) << stitched.failure;
         ASSERT_EQ(outcomeJson(cfg, plain),
                   outcomeJson(cfg, stitched));
+    }
+}
+
+namespace
+{
+
+/**
+ * A checkpoint of `cfg` at slot `at` in which input 0 believes in
+ * one cell more than its buffer holds: its workload stamps one extra
+ * arrival that never reaches the buffer.  The fabric then grants the
+ * phantom cell, and input 0 fails inside the window that requests
+ * it.
+ */
+std::string
+phantomCheckpoint(const CrossbarConfig &cfg, std::uint64_t at)
+{
+    CrossbarRun run(cfg);
+    run.runTo(at);
+    const std::uint64_t print = ser::fnv1a(cfg.describe());
+    const std::string payload =
+        soak::openCheckpoint(run.checkpoint(), print);
+    ser::Reader r(payload);
+    ser::Writer w;
+    r.tag("XBAR");
+    w.tag("XBAR");
+    for (int k = 0; k < 4; ++k)  // slot cursor, fabric counters
+        w.u64(r.u64());
+    // seed: replaced by the load() of the saved scheduler state
+    constexpr std::uint64_t kLoadedSeed = 1;
+    const auto sched = makeScheduler(cfg.scheduler, cfg.ports,
+                                     cfg.islipIterations, cfg.qpsWindow,
+                                     kLoadedSeed);
+    ser::load(r, *sched);
+    ser::save(w, *sched);
+    w.u64(r.u64());  // input count
+    const auto plans = planCrossbar(cfg);
+    for (unsigned i = 0; i < cfg.ports; ++i) {
+        std::string sealed = r.str();
+        if (i == 0) {
+            CrossbarPortWorkload *wl = nullptr;
+            soak::ScenarioRun in(plans[0].scenario, [&] {
+                auto made = makeInputWorkload(plans[0]);
+                wl = made.get();
+                return made;
+            });
+            in.restore(sealed);
+            const std::uint64_t credits = wl->totalCredit();
+            while (wl->totalCredit() == credits)
+                wl->step(at);
+            sealed = in.checkpoint();
+        }
+        w.str(sealed);
+    }
+    r.done();
+    return soak::sealCheckpoint(w.bytes(), print);
+}
+
+/** Restore `bytes`, finish, and render the outcome; `planned`
+ *  receives the last slot onMatch saw, `window_end` the run's
+ *  dataPlaneEnd() after the failure. */
+std::string
+finishFrom(const CrossbarConfig &cfg, const std::string &bytes,
+           Slot &planned, std::uint64_t &window_end)
+{
+    CrossbarRun run(cfg);
+    run.restore(bytes);
+    run.onMatch = [&](Slot t, const Occupancy &, const Matching &,
+                      unsigned) { planned = t; };
+    std::string thrown;
+    try {
+        run.runTo(cfg.slots);
+    } catch (const std::exception &e) {
+        thrown = e.what();
+    }
+    window_end = run.dataPlaneEnd();
+    run.onMatch = nullptr;
+    const auto out = run.finish();
+    return thrown + "\n" + outcomeJson(cfg, out) +
+           (out.passed ? "passed" : "FAILED") + out.failure;
+}
+
+} // namespace
+
+TEST(CrossbarWindow, InputFailureDiscardsTheLookAhead)
+{
+    // Input 0 fails inside a window while the control plane has
+    // already planned the next one.  The pipelined engine must drop
+    // that look-ahead -- planner streams, burst counters, fabric
+    // counters and scripts back at the window boundary -- and so
+    // leave the outcome the serial engine does.  A sweep pool task
+    // runs the serial engine (no fan-out on a pool thread).
+    for (const auto kind : kAllKinds) {
+        SCOPED_TRACE(toString(kind));
+        CrossbarConfig cfg =
+            baseConfig(8, fabric::TrafficPattern::Incast, 6000);
+        cfg.scheduler = kind;
+        cfg.load = 0.85;
+        const std::string bytes = phantomCheckpoint(cfg, 1000);
+
+        Slot planned = 0;
+        std::uint64_t window_end = 0;
+        const std::string piped =
+            finishFrom(cfg, bytes, planned, window_end);
+        ASSERT_NE(piped.find("FAILED"), std::string::npos) << piped;
+        if (sweep::availableCpus() > 1) {
+            EXPECT_GE(planned, window_end)
+                << "no look-ahead was planned past the failed window";
+        }
+
+        std::vector<std::string> serial(2);
+        std::vector<sweep::Task> tasks;
+        for (auto &out : serial) {
+            tasks.push_back({"serial", [&](const sweep::SweepContext &) {
+                                 Slot p = 0;
+                                 std::uint64_t e = 0;
+                                 out = finishFrom(cfg, bytes, p, e);
+                                 EXPECT_LT(p, e);
+                                 return sweep::TaskResult{};
+                             }});
+        }
+        sweep::SweepOptions opt;
+        opt.jobs = 2;
+        ASSERT_EQ(sweep::runSweep(tasks, opt).failed, 0u);
+        EXPECT_EQ(piped, serial[0]);
+        EXPECT_EQ(piped, serial[1]);
     }
 }

@@ -22,7 +22,7 @@ namespace
 const char kDefaultEnumNames[] =
     "pktbuf::dram::StallCause;pktbuf::dram::AccessKind;"
     "pktbuf::sim::BufferVariant;pktbuf::sim::WorkloadKind;"
-    "pktbuf::sw::TrafficPattern;pktbuf::xbar::SchedulerKind;"
+    "pktbuf::fabric::TrafficPattern;pktbuf::xbar::SchedulerKind;"
     "pktbuf::buffer::MmaKind;pktbuf::core::BufferKind;"
     "pktbuf::model::SramDesign;pktbuf::model::SchedFeasibility;"
     "pktbuf::LineRate";
