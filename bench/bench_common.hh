@@ -4,8 +4,8 @@
  * accepts the same flags:
  *
  *   --smoke      reduced slot budgets (what CI runs on every push)
- *   --jobs N     shard the bench's tasks over N worker threads
- *                (0 = all hardware threads)
+ *   --jobs N     shard the bench's tasks over at most N threads,
+ *                never more than the usable CPUs (0 = all of them)
  *   --json PATH  write the machine-readable result records as JSON
  *                ("-" = stdout); the BENCH_*.json baselines are made
  *                of exactly this output

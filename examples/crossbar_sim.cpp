@@ -14,8 +14,8 @@
  *
  * The matching couples all inputs each slot, so the engine plans a
  * window of slots on one thread and then steps the inputs through it
- * on one thread per CPU in the affinity mask.  There is no --jobs
- * knob: the bytes are the same for any thread count, and
+ * on the sweep pool, one thread per CPU in the affinity mask.  There
+ * is no --jobs knob: the bytes are the same for any thread count, and
  * `taskset -c 0` runs it on one thread.  A --ports 1 run reproduces the
  * matching single-buffer scenario leg bit-for-bit regardless of the
  * scheduler (any maximal matching is work-conserving at N == 1).

@@ -76,9 +76,9 @@ usage(const char *prog)
                  "  --engine   reference (per-slot loop) | event"
                  " (calendar core);\n"
                  "             identical output either way\n"
-                 "  --jobs     worker threads (0 = all usable CPUs);"
-                 " output is\n"
-                 "             byte-identical for any value\n"
+                 "  --jobs     threads, at most the usable CPUs (0 ="
+                 " all of them);\n"
+                 "             output is byte-identical for any value\n"
                  "  --json     write result records as JSON"
                  " ('-' = stdout)\n"
                  "  --csv      write result records as CSV\n",

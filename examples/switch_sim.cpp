@@ -61,8 +61,8 @@ usage(const char *prog)
         "  --smoke     reduced slots for CI\n"
         "  --list      print the resolved port plans, don't run\n"
         "  --stats     dump the namespaced per-port stat registry\n"
-        "  --jobs      worker threads (0 = all usable CPUs); output is\n"
-        "              byte-identical for any value\n"
+        "  --jobs      threads, at most the usable CPUs (0 = all of\n"
+        "              them); output is byte-identical for any value\n"
         "  --json/--csv  write result records ('-' = stdout)\n",
         prog);
 }

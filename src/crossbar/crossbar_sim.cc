@@ -1,10 +1,8 @@
 #include "crossbar_sim.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <sstream>
-#include <thread>
 
 #include "common/logging.hh"
 #include "sweep/emit.hh"
@@ -27,7 +25,7 @@ constexpr std::uint64_t kSchedSalt = 0x78736368ull;  // "xsch"
 constexpr std::uint64_t kMaxWindow = 256;
 
 /** Shorter windows step the inputs on the calling thread: waking the
- *  gang would cost more than the window's work. */
+ *  pool would cost more than the window's work. */
 constexpr std::uint64_t kMinFanOut = 32;
 
 /**
@@ -304,120 +302,6 @@ makeInputWorkload(const InputPlan &plan, bool self_greedy)
         self_greedy);
 }
 
-/**
- * The threads that run the data plane.  Every input has a home
- * worker -- input i belongs to worker i % workers, which steps its
- * inputs in ascending order, so an input's buffer stays in one
- * core's cache -- and each input of a window is claimed exactly
- * once, by a compare-exchange on its round stamp.  The caller starts
- * a window, plans the next one, then claims every input not claimed
- * yet, from the last down (the ones their workers would reach last),
- * and waits for the rest: a descheduled worker delays the window by
- * at most the input it is stepping.  Only the caller steals, so each
- * input's allocations stay in at most two threads' arenas.
- */
-struct CrossbarRun::Gang
-{
-    Gang(CrossbarRun &run, unsigned workers)
-        : run_(run), workers_(workers), inputs_(run.cfg_.ports),
-          claimed_(inputs_)
-    {
-        try {
-            threads_.reserve(workers);
-            for (unsigned k = 0; k < workers; ++k)
-                threads_.emplace_back([this, k] { work(k); });
-        } catch (...) {
-            stop();
-            throw;
-        }
-    }
-
-    ~Gang() { stop(); }
-
-    Gang(const Gang &) = delete;
-    Gang &operator=(const Gang &) = delete;
-
-    /** Let the workers step every input to slot `end`. */
-    void
-    start(std::uint64_t end)
-    {
-        end_.store(end, std::memory_order_relaxed);
-        remaining_.store(inputs_, std::memory_order_relaxed);
-        round_.fetch_add(1, std::memory_order_release);
-        round_.notify_all();
-    }
-
-    /** Step the inputs no worker has claimed, then wait for all. */
-    void
-    join()
-    {
-        const std::uint32_t r = round_.load(std::memory_order_relaxed);
-        const std::uint64_t end = end_.load(std::memory_order_relaxed);
-        for (unsigned i = inputs_; i-- > 0;)
-            step(i, r, end);
-        for (unsigned left;
-             (left = remaining_.load(std::memory_order_acquire)) != 0;)
-            remaining_.wait(left, std::memory_order_acquire);
-    }
-
-  private:
-    /** Step input i for round r if nobody has claimed it yet. */
-    void
-    step(unsigned i, std::uint32_t r, std::uint64_t end)
-    {
-        // Every input is claimed once per round, so an unclaimed
-        // input still carries the previous round's stamp; a worker
-        // that slept through a round fails here and moves on.
-        std::uint32_t prev = r - 1;
-        if (!claimed_[i].compare_exchange_strong(
-                prev, r, std::memory_order_relaxed))
-            return;
-        run_.stepInput(i, end);
-        if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            remaining_.notify_one();
-    }
-
-    void
-    work(unsigned k)
-    {
-        std::uint32_t seen = 0;
-        while (true) {
-            round_.wait(seen, std::memory_order_acquire);
-            seen = round_.load(std::memory_order_acquire);
-            if (stopping_.load(std::memory_order_relaxed))
-                return;
-            const std::uint64_t end = end_.load(std::memory_order_relaxed);
-            for (unsigned i = k; i < inputs_; i += workers_)
-                step(i, seen, end);
-        }
-    }
-
-    void
-    stop()
-    {
-        stopping_.store(true, std::memory_order_relaxed);
-        round_.fetch_add(1, std::memory_order_release);
-        round_.notify_all();
-        for (auto &t : threads_)
-            t.join();
-    }
-
-    CrossbarRun &run_;
-    const unsigned workers_;
-    const unsigned inputs_;
-    /** Per input: the last round that claimed it. */
-    std::vector<std::atomic<std::uint32_t>> claimed_;
-    /** Bumped per window (and once to stop); the workers wait on it. */
-    alignas(64) std::atomic<std::uint32_t> round_{0};
-    /** The window's end slot. */
-    std::atomic<std::uint64_t> end_{0};
-    std::atomic<bool> stopping_{false};
-    /** Inputs of the window not stepped yet; the caller waits on it. */
-    alignas(64) std::atomic<unsigned> remaining_{0};
-    /** Last: the workers use every member above. */
-    std::vector<std::thread> threads_;
-};
-
 CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
     : cfg_(cfg), plans_(planCrossbar(cfg)),
       fingerprint_(ser::fnv1a(cfg.describe())),
@@ -426,7 +310,7 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
           cfg.qpsWindow, sweep::deriveSeed(cfg.masterSeed, kSchedSalt))),
       wl_(cfg.ports, nullptr), planners_(cfg.ports), occ_(cfg.ports),
       match_(cfg.ports, kInvalidQueue), taken_(occ_.words(), 0),
-      drops_(cfg.ports, 0), errors_(cfg.ports)
+      drops_(cfg.ports, 0)
 {
     // Fresh workloads hold no credit: the all-zero occ_ is exact.
     inputs_.reserve(cfg.ports);
@@ -451,8 +335,6 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
         p.ahead.reserve(kMaxWindow);
     }
 }
-
-CrossbarRun::~CrossbarRun() = default;
 
 unsigned
 CrossbarRun::validate(Slot t, const Matching &m)
@@ -511,12 +393,11 @@ void
 CrossbarRun::advance(std::uint64_t slot)
 {
     const unsigned n = cfg_.ports;
-    // Inside a sweep task the pool already fills the CPUs; otherwise
-    // one worker per CPU besides the caller, up to one per input.
-    const unsigned workers =
-        sweep::onSweepWorker()
-            ? 0
-            : std::min(n, sweep::availableCpus() - 1);
+    std::uint64_t end = 0;
+    // Two references: std::function holds them inline, unallocated.
+    const sweep::Body step = [this, &end](std::size_t i) {
+        inputs_[i]->runTo(end);
+    };
     // Slots planned during the last window, not yet handed over.
     std::uint64_t ahead = 0;
     while (executed_ < slot) {
@@ -535,23 +416,19 @@ CrossbarRun::advance(std::uint64_t slot)
         }
         panic_if(w > std::max<std::uint64_t>(h, 1), "crossbar planned ",
                  w, " slots ahead of a ", h, "-slot admission horizon");
-        const std::uint64_t end = executed_ + w;
+        end = executed_ + w;
         for (unsigned i = 0; i < n; ++i) {
             drops_[i] = wl_[i]->drops();
             wl_[i]->play(planners_[i].ahead);
         }
         data_end_ = end;
         ahead = 0;
-        if (w < kMinFanOut || workers == 0) {
-            for (unsigned i = 0; i < n; ++i)
-                stepInput(i, end);
-            endWindow(w, false);
+        if (w < kMinFanOut || !sweep::startHomeRound(n, step)) {
+            sweep::forEachItem(n, 1, step);
+            endWindow(w);
             continue;
         }
-        if (!gang_)
-            gang_ = std::make_unique<Gang>(*this, workers);
-        gang_->start(end);
-        // Plan the next window while the gang steps this one; the
+        // Plan the next window while the pool steps this one; the
         // two together stay within the horizon read above, and the
         // look-ahead never crosses the target, so checkpoints still
         // fall between windows.
@@ -566,8 +443,14 @@ CrossbarRun::advance(std::uint64_t slot)
         } catch (...) {
             plan_error = std::current_exception();
         }
-        gang_->join();
-        endWindow(w, ahead > 0);
+        try {
+            sweep::finishHomeRound();
+        } catch (...) {
+            if (ahead > 0)
+                rollback();
+            throw;
+        }
+        endWindow(w);
         if (plan_error)
             std::rethrow_exception(plan_error);
     }
@@ -640,18 +523,9 @@ CrossbarRun::rollback()
 }
 
 void
-CrossbarRun::endWindow(std::uint64_t w, bool lookahead)
+CrossbarRun::endWindow(std::uint64_t w)
 {
     const unsigned n = cfg_.ports;
-    for (auto &e : errors_) {
-        if (e) {
-            const std::exception_ptr first = e;
-            std::fill(errors_.begin(), errors_.end(), nullptr);
-            if (lookahead)
-                rollback();
-            std::rethrow_exception(first);
-        }
-    }
     for (unsigned i = 0; i < n; ++i) {
         if (wl_[i]->drops() == drops_[i])
             continue;
@@ -662,16 +536,6 @@ CrossbarRun::endWindow(std::uint64_t w, bool lookahead)
             occ_.set(i, j, wl_[i]->credit(j));
     }
     executed_ += w;
-}
-
-void
-CrossbarRun::stepInput(unsigned i, std::uint64_t end)
-{
-    try {
-        inputs_[i]->runTo(end);
-    } catch (...) {
-        errors_[i] = std::current_exception();
-    }
 }
 
 std::string

@@ -29,12 +29,12 @@
  * (renaming) leaves one lockstep slot, after which a dropped
  * arrival's credit is re-read.
  *
- * Windows of at least 32 slots fan out to a worker gang (one thread
- * per further CPU in the affinity mask, up to one per input, started
- * on the first such window; inside a runSweep pool task everything
- * steps on the caller).  While the gang steps window k, the caller
- * plans window k+1, then steps whatever inputs the workers have not
- * claimed yet.  Both windows fit the horizon h read before window k
+ * Windows of at least 32 slots fan out as a home round of the sweep
+ * pool (sweep.hh): input i steps on worker i % min(N, workers), and
+ * inside a pool task, where another round runs, everything steps on
+ * the caller.  While the workers step window k, the caller plans
+ * window k+1, then steps whatever inputs they have not claimed yet.
+ * Both windows fit the horizon h read before window k
  * (w_k + w_{k+1} <= h): window k admits at most w_k cells, so the
  * horizon read before window k+1 is still at least w_{k+1}.  Each
  * input's planning state -- its arrival stream, a copy of its
@@ -44,7 +44,7 @@
  * and scripts back at the window boundary), so checkpoints still
  * fall between windows.  Every RNG stream is per input or per
  * scheduler, so the bytes do not depend on the window lengths or
- * the gang size.
+ * the pool size.
  *
  * Because each input is a plain ScenarioRun, a 1x1 crossbar
  * reproduces the matching single-buffer scenario leg bit-for-bit (any
@@ -379,8 +379,6 @@ struct CrossbarOutcome
  *   CrossbarRun b(cfg);        // fresh objects, same config
  *   b.restore(bytes);
  *   auto out = b.finish();     // == runCrossbar(cfg) bit for bit
- *
- * Not copyable or movable: the worker gang holds `this`.
  */
 class CrossbarRun
 {
@@ -388,10 +386,6 @@ class CrossbarRun
     /** Build every input and the scheduler; fatal() on bad knobs.
      *  Starts no thread. */
     explicit CrossbarRun(const CrossbarConfig &cfg);
-    ~CrossbarRun();
-
-    CrossbarRun(const CrossbarRun &) = delete;
-    CrossbarRun &operator=(const CrossbarRun &) = delete;
 
     const CrossbarConfig &config() const { return cfg_; }
     const std::vector<InputPlan> &plans() const { return plans_; }
@@ -412,7 +406,7 @@ class CrossbarRun
 
     /**
      * End of the window the inputs are stepping (or last stepped):
-     * no input steps a slot at or beyond it.  While the gang steps a
+     * no input steps a slot at or beyond it.  While the pool steps a
      * window, the control plane plans the next one, so onMatch may
      * see dataPlaneEnd() > executed(), but never a slot below
      * dataPlaneEnd().  Read it on the thread that called runTo().
@@ -447,7 +441,7 @@ class CrossbarRun
      * matching and the scheduler's iteration count.  It fires on the
      * thread that called runTo(), from the control plane, for
      * strictly increasing slots, and always before any input steps
-     * that slot -- possibly while the gang steps an earlier window
+     * that slot -- possibly while the pool steps an earlier window
      * (see dataPlaneEnd()).  It must not touch the inputs.  An
      * exception from it fails the run like an input's would.  Not
      * part of the checkpointed state.
@@ -457,9 +451,6 @@ class CrossbarRun
         onMatch;  // ser: config
 
   private:
-    /** The worker threads that step the inputs (crossbar_sim.cc). */
-    struct Gang;
-
     /**
      * One input's control-plane state, alone on its cache lines:
      * the data plane never writes it, and the planner writes nothing
@@ -502,14 +493,9 @@ class CrossbarRun
     void planWindow(std::uint64_t first, std::uint64_t w);
     /** Drop the look-ahead: planners and counters back to the mark. */
     void rollback();
-    /**
-     * After a `w`-slot window: rethrow an input's exception (rolling
-     * back a pending look-ahead first), re-read any dropped
-     * arrival's credits, advance executed_.
-     */
-    void endWindow(std::uint64_t w, bool lookahead);
-    /** Step input `i` to slot `end`, recording its exception. */
-    void stepInput(unsigned i, std::uint64_t end);
+    /** After a `w`-slot window: re-read any dropped arrival's
+     *  credits, advance executed_. */
+    void endWindow(std::uint64_t w);
 
     CrossbarConfig cfg_;  // ser: config
     std::vector<InputPlan> plans_;  // ser: config
@@ -534,8 +520,6 @@ class CrossbarRun
     std::vector<std::uint64_t> taken_;  // ser: derived
     /** Window scratch: each input's drops() before the window. */
     std::vector<std::uint64_t> drops_;  // ser: derived
-    /** Window scratch: each input's exception in the window. */
-    std::vector<std::exception_ptr> errors_;  // ser: derived
     std::uint64_t executed_ = 0;
     /** See dataPlaneEnd(). */
     std::uint64_t data_end_ = 0;  // ser: derived
@@ -544,9 +528,6 @@ class CrossbarRun
     Counters mark_;  // ser: derived
     /** The exception that failed the run, if any (see runTo()). */
     std::exception_ptr failed_;  // ser: derived
-    /** Built on the first window that fans out; declared last so it
-     *  stops before anything it steps is destroyed. */
-    std::unique_ptr<Gang> gang_;  // ser: derived
 };
 
 /**

@@ -7,9 +7,9 @@
  * cells directly into the h-SRAM when the queue has nothing resident
  * in DRAM.
  *
- * Each queue's cells sit in a flat power-of-two ring that grows by
- * doubling and keeps its capacity, so a queue stops allocating once it
- * reaches its working depth and an empty queue owns no storage.
+ * Each queue's cells sit in a Ring, which grows by doubling and keeps
+ * its capacity, so a queue stops allocating once it reaches its
+ * working depth and an empty queue owns no storage.
  */
 
 #ifndef PKTBUF_SRAM_TAIL_SRAM_HH
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -82,7 +83,7 @@ class TailSram
     void
     push(QueueId p, const Cell &cell)
     {
-        q(p).push(cell);
+        q(p).cells.pushBack(cell);
         ++occupancy_;
         high_water_.observe(static_cast<std::int64_t>(occupancy_));
         panic_if(capacity_ && occupancy_ > capacity_,
@@ -96,14 +97,14 @@ class TailSram
     unclaimed(QueueId p) const
     {
         const auto &qq = q(p);
-        return qq.size - qq.claimed;
+        return qq.cells.size() - qq.claimed;
     }
 
     /** Total cells of p still in the t-SRAM (claimed or not). */
     std::uint64_t
     cellsOf(QueueId p) const
     {
-        return q(p).size;
+        return q(p).cells.size();
     }
 
     /**
@@ -162,7 +163,7 @@ class TailSram
         panic_if(qq.claimed != 0,
                  "bypass with ", qq.claimed,
                  " claimed cells ahead on queue ", p);
-        const auto n = std::min<std::uint64_t>(max_cells, qq.size);
+        const auto n = std::min<std::uint64_t>(max_cells, qq.cells.size());
         std::vector<Cell> out =
             take(qq, static_cast<unsigned>(n), max_cells, spares);
         refreshEligible(p);
@@ -178,7 +179,7 @@ class TailSram
     recycle(QueueId p)
     {
         auto &qq = q(p);
-        panic_if(qq.size != 0 || qq.claimed != 0,
+        panic_if(!qq.cells.empty() || qq.claimed != 0,
                  "recycling non-empty tail queue ", p);
     }
 
@@ -190,15 +191,12 @@ class TailSram
         io.fixedCount(queues_.size(), "t-SRAM queues");
         for (auto &qq : queues_) {
             io.u64(qq.claimed);
-            const auto nc =
-                io.count(qq.size, Cell::kSavedBytes, "t-SRAM cells");
-            if (io.reading()) {
-                qq.head = qq.size = 0;
-                for (std::uint64_t i = 0; i < nc; ++i)
-                    qq.push(Cell{});
-            }
-            for (std::size_t i = 0; i < qq.size; ++i)
-                qq.at(i).fields(io);
+            const auto nc = io.count(qq.cells.size(), Cell::kSavedBytes,
+                                     "t-SRAM cells");
+            if (io.reading())
+                qq.cells.resize(nc);
+            for (std::size_t i = 0; i < qq.cells.size(); ++i)
+                qq.cells[i].fields(io);
         }
         io.u64(occupancy_);
         high_water_.fields(io);
@@ -212,43 +210,11 @@ class TailSram
     void load(ser::Reader &r) { ser::load(r, *this); }
 
   private:
-    /** One queue: its cells oldest first in a ring, and the claims. */
+    /** One queue: its cells oldest first, and the claims. */
     struct QueueState
     {
-        std::vector<Cell> ring;  //!< power-of-two size, or empty
-        std::size_t head = 0;    //!< ring index of the oldest cell
-        std::size_t size = 0;
+        Ring<Cell> cells;
         std::uint64_t claimed = 0;
-
-        Cell &
-        at(std::size_t i)
-        {
-            return ring[(head + i) & (ring.size() - 1)];
-        }
-
-        void
-        push(const Cell &cell)
-        {
-            if (size == ring.size()) {
-                // Double, unwrapping the live cells to the front.
-                std::vector<Cell> grown(ring.empty() ? 8 : 2 * ring.size());
-                for (std::size_t i = 0; i < size; ++i)
-                    grown[i] = at(i);
-                ring = std::move(grown);
-                head = 0;
-            }
-            ring[(head + size) & (ring.size() - 1)] = cell;
-            ++size;
-        }
-
-        Cell
-        popFront()
-        {
-            const Cell c = ring[head];
-            head = (head + 1) & (ring.size() - 1);
-            --size;
-            return c;
-        }
     };
 
     /** Re-derive p's bit in the eligibility bitmap (O(1)). */
@@ -276,9 +242,11 @@ class TailSram
     {
         std::vector<Cell> out = takeSpare(spares);
         out.reserve(room);
-        panic_if(qq.size < n, "t-SRAM underflow");
-        for (unsigned i = 0; i < n; ++i)
-            out.push_back(qq.popFront());
+        panic_if(qq.cells.size() < n, "t-SRAM underflow");
+        for (unsigned i = 0; i < n; ++i) {
+            out.push_back(qq.cells.front());
+            qq.cells.popFront();
+        }
         panic_if(occupancy_ < n, "t-SRAM occupancy accounting bug");
         occupancy_ -= n;
         return out;

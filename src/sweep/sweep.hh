@@ -1,13 +1,13 @@
 /**
  * @file
- * The parallel parameter-sweep engine.
+ * The parallel parameter-sweep engine and the process's thread pool.
  *
  * A sweep is an ordered list of independent tasks (scenario legs,
  * bench configurations, analytical table rows).  runSweep() shards
- * them across a pool of worker threads, captures each task's result
- * records, buffered human-readable text and failure state, and
- * aggregates everything **in task order** -- so stdout and the
- * emitted JSON/CSV are byte-identical regardless of the thread count.
+ * them across the pool, captures each task's result records,
+ * buffered human-readable text and failure state, and aggregates
+ * everything **in task order** -- so stdout and the emitted JSON/CSV
+ * are byte-identical regardless of the thread count.
  *
  * Determinism contract:
  *  - tasks must not share mutable state (each leg builds its own
@@ -23,6 +23,10 @@
  * names the task and its shard seed; the sweep runs to completion so
  * one bad leg cannot hide another, and SweepReport::failed makes the
  * whole sweep fail.
+ *
+ * The one pool of the process is the caller plus availableCpus() - 1
+ * workers, started by the first round that fans out.  A round begun
+ * while another runs (a crossbar in a sweep task) runs inline.
  */
 
 #ifndef PKTBUF_SWEEP_SWEEP_HH
@@ -82,7 +86,7 @@ struct Task
 /** Sweep-wide knobs. */
 struct SweepOptions
 {
-    /** Worker threads; 1 = run inline, 0 = availableCpus(). */
+    /** Thread cap, caller included (0 = availableCpus()); 1 = inline. */
     unsigned jobs = 1;
     /** Master seed that every shard seed derives from. */
     std::uint64_t masterSeed = 1;
@@ -95,7 +99,7 @@ struct SweepReport
     std::vector<TaskResult> results;
     /** Number of failed tasks. */
     std::size_t failed = 0;
-    /** Threads actually used. */
+    /** Threads that ran tasks, the caller included. */
     unsigned jobs = 1;
     /**
      * Wall-clock of the run() phase, seconds.  Deliberately *not*
@@ -109,7 +113,7 @@ struct SweepReport
 /**
  * Run every task and aggregate the results in task order.
  *
- * Tasks are pulled from a shared atomic cursor, so scheduling is
+ * A pool round (forEachItem) hands out the tasks, so scheduling is
  * dynamic, but aggregation is positional: results[i] always belongs
  * to tasks[i].  Exceptions (std::exception and anything else) become
  * failed results; the engine never throws for a task failure.
@@ -127,12 +131,30 @@ SweepReport runSweep(const std::vector<Task> &tasks,
  */
 unsigned availableCpus();
 
+/** The body of a pool round: runs item i. */
+using Body = std::function<void(std::size_t)>;
+
 /**
- * True on a runSweep() pool thread (jobs > 1).  A task that could
- * fan out itself runs serially there: the pool already fills the
- * CPUs, and a nested fan-out would run jobs^2 threads.
+ * Indexed round: body(i) once for each i in [0, n) on at most `cap`
+ * threads (0 = no cap) as SweepOptions::jobs caps them; each takes
+ * the lowest item nobody has claimed yet.  Every item runs, then the
+ * lowest throwing item's exception is rethrown.
+ * @return the threads that took part
  */
-bool onSweepWorker();
+unsigned forEachItem(std::size_t n, unsigned cap, const Body &body);
+
+/**
+ * Home round: start body(i) for each i in [0, n) on the workers --
+ * item i on worker i % min(n, workers), in ascending order -- and
+ * return; `body` must live until finishHomeRound().
+ * @return false, having started nothing, when the round would run
+ *         inline (no worker, or another round runs)
+ */
+bool startHomeRound(std::size_t n, const Body &body);
+
+/** Run the home round's unclaimed items from the last down, wait for
+ *  the rest, and rethrow like forEachItem(). */
+void finishHomeRound();
 
 } // namespace pktbuf::sweep
 

@@ -231,28 +231,10 @@ runPlans(const std::vector<PortPlan> &plans, unsigned jobs)
     out.plans = plans;
     out.ports.resize(plans.size());
 
-    // One sweep task per port.  Each task writes only its own slot
-    // of out.ports, and runSweep joins its workers before
-    // returning, so the writes are race-free and ordered-by-port by
-    // construction.
-    std::vector<sweep::Task> tasks;
-    tasks.reserve(plans.size());
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-        tasks.push_back(sweep::Task{
-            plans[i].legName() + "/" + plans[i].scenario.name(),
-            [&out, &plans, i](const sweep::SweepContext &) {
-                out.ports[i] = runPort(plans[i]);
-                sweep::TaskResult r;
-                r.ok = out.ports[i].passed;
-                if (!r.ok)
-                    r.error = out.ports[i].failure;
-                return r;
-            },
-        });
-    }
-    sweep::SweepOptions so;
-    so.jobs = jobs;
-    sweep::runSweep(tasks, so);
+    // Each port writes only its own slot of out.ports.
+    sweep::forEachItem(plans.size(), jobs, [&](std::size_t i) {
+        out.ports[i] = runPort(plans[i]);
+    });
 
     auto &r = out.report;
     fabric::aggregate(out.ports, r, &r.stats);

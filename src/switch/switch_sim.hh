@@ -12,9 +12,9 @@
  * slot-lockstep: every port advances the same logical slot clock
  * over the same `slots` budget, and because ports share no mutable
  * state, executing them concurrently on the sweep engine's thread
- * pool (runSweep, PR-2) is *exactly* equivalent to interleaving them
- * slot by slot.  Results aggregate in port order, so stdout and the
- * JSON/CSV artifacts are byte-identical for any --jobs value.
+ * pool (sweep::forEachItem) is *exactly* equivalent to interleaving
+ * them slot by slot.  Results aggregate in port order, so stdout and
+ * the JSON/CSV artifacts are byte-identical for any --jobs value.
  *
  * The load-bearing invariant: a 1-port switch under the uniform
  * pattern builds the very Scenario a single-buffer matrix leg would
@@ -208,7 +208,7 @@ struct SwitchOutcome
 
 /**
  * Run a list of port plans: shard the ports onto the sweep engine's
- * thread pool (`jobs` workers; 1 = inline, 0 = sweep::availableCpus())
+ * thread pool (`jobs` caps the threads as in sweep::SweepOptions)
  * and aggregate the outcomes in port order.  Because every plan is
  * self-contained, the result -- including every byte of the derived
  * artifacts -- is independent of `jobs` and of the plans' positions

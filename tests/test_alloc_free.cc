@@ -28,8 +28,8 @@
 namespace
 {
 
-/** Set while a counted call runs.  Atomic: a crossbar's worker
- *  gang allocates (or not) on its own threads. */
+/** Set while a counted call runs.  Atomic: the pool's workers step
+ *  a crossbar's inputs, and allocate (or not), on their own threads. */
 std::atomic<bool> g_counting = false;
 std::atomic<std::size_t> g_allocs = 0;
 
@@ -309,7 +309,7 @@ TEST(AllocFree, CrossbarWindows)
     // A whole fabric slot allocates nothing once warm either: the
     // scheduler fills the fabric's own matching, the look-ahead and
     // played scripts swap without growing, and the inputs step on
-    // the worker gang.  The low load reaches the all-empty slots
+    // the pool's workers.  The low load reaches the all-empty slots
     // that skip the scheduler.  Same warm-up and replay as
     // countStepAllocs, through a crossbar checkpoint.
     constexpr std::uint64_t kWarm = 2048;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <utility>
@@ -630,8 +631,8 @@ TEST(CrossbarRun, OnMatchFiresOnTheCallerAheadOfTheDataPlane)
 {
     // onMatch runs on the control plane: on the thread that called
     // runTo(), for strictly increasing slots, never for a slot an
-    // input may already have stepped.  With a gang it also fires for
-    // the next window while the current one steps.
+    // input may already have stepped.  With pool workers it also
+    // fires for the next window while the current one steps.
     for (const auto kind : kAllKinds) {
         SCOPED_TRACE(toString(kind));
         CrossbarConfig cfg =
@@ -823,8 +824,8 @@ runInChunks(const CrossbarConfig &cfg,
 TEST(CrossbarWindow, AnyRunToChunkingIsByteIdentical)
 {
     // The control plane plans windows of up to 256 slots, the next
-    // one while a worker gang steps the inputs through the current
-    // one; windows under 32 slots stay on the caller.  One runTo()
+    // one while the pool's workers step the inputs through the
+    // current one; windows under 32 slots stay on the caller.  One runTo()
     // for the whole phase, one per slot and odd chunks around both
     // thresholds must leave the same checkpoint bytes at every
     // boundary they share, and finish with the same artifact.  A
@@ -1054,7 +1055,7 @@ TEST(CrossbarWindow, InputFailureDiscardsTheLookAhead)
     // that look-ahead -- planner streams, burst counters, fabric
     // counters and scripts back at the window boundary -- and so
     // leave the outcome the serial engine does.  A sweep pool task
-    // runs the serial engine (no fan-out on a pool thread).
+    // runs the serial engine (a round inside a round runs inline).
     for (const auto kind : kAllKinds) {
         SCOPED_TRACE(toString(kind));
         CrossbarConfig cfg =
@@ -1090,4 +1091,96 @@ TEST(CrossbarWindow, InputFailureDiscardsTheLookAhead)
         EXPECT_EQ(piped, serial[0]);
         EXPECT_EQ(piped, serial[1]);
     }
+}
+
+namespace
+{
+
+/** Entries of /proc/self/task: the threads of this process. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/** Run a crossbar to the end; `ahead` counts the onMatch calls for
+ *  a slot planned while an earlier window still steps. */
+std::string
+runCounted(const CrossbarConfig &cfg, std::uint64_t &ahead)
+{
+    CrossbarRun run(cfg);
+    run.onMatch = [&](Slot, const Occupancy &, const Matching &,
+                      unsigned) {
+        ahead += run.dataPlaneEnd() > run.executed() ? 1 : 0;
+    };
+    run.runTo(cfg.slots);
+    run.onMatch = nullptr;
+    const auto out = run.finish();
+    return outcomeJson(cfg, out) + (out.passed ? "passed" : "FAILED") +
+           out.failure;
+}
+
+} // namespace
+
+TEST(CrossbarPool, CrossbarsInsideSweepTasksRunInline)
+{
+    // A crossbar inside a pool task -- the caller's own item or a
+    // worker's -- finds the pool running a round, so it steps every
+    // window on its own thread with no look-ahead, and writes the
+    // bytes of a standalone run.
+    CrossbarConfig cfg =
+        baseConfig(16, fabric::TrafficPattern::Uniform, 3000);
+    cfg.load = 0.85;
+    std::uint64_t unused = 0;
+    const std::string alone = runCounted(cfg, unused);
+
+    std::vector<std::string> nested(2);
+    std::vector<std::uint64_t> ahead(2, 0);
+    std::vector<sweep::Task> tasks;
+    for (std::size_t k = 0; k < nested.size(); ++k) {
+        tasks.push_back({"xbar", [&, k](const sweep::SweepContext &) {
+                             nested[k] = runCounted(cfg, ahead[k]);
+                             return sweep::TaskResult{};
+                         }});
+    }
+    sweep::SweepOptions opt;
+    opt.jobs = 2;
+    ASSERT_EQ(sweep::runSweep(tasks, opt).failed, 0u);
+    for (std::size_t k = 0; k < nested.size(); ++k) {
+        EXPECT_EQ(ahead[k], 0u) << "task " << k << " planned ahead";
+        EXPECT_EQ(nested[k], alone) << "task " << k;
+    }
+}
+
+TEST(CrossbarPool, LaterSweepsAndCrossbarsStartNoThread)
+{
+    // The pool starts its workers once, on the first round that fans
+    // out; every later sweep and crossbar window reuses them.
+    if (sweep::availableCpus() == 1)
+        GTEST_SKIP() << "one CPU: every round runs inline";
+    const auto sweepOnce = [] {
+        const std::vector<sweep::Task> tasks(
+            8, sweep::Task{"t", [](const sweep::SweepContext &) {
+                               return sweep::TaskResult{};
+                           }});
+        sweep::SweepOptions opt;
+        opt.jobs = 0;
+        EXPECT_EQ(sweep::runSweep(tasks, opt).failed, 0u);
+    };
+    CrossbarConfig cfg =
+        baseConfig(16, fabric::TrafficPattern::Uniform, 2000);
+    cfg.load = 0.85;
+    std::uint64_t ahead = 0;
+    sweepOnce();
+    runCounted(cfg, ahead);
+    const std::size_t before = threadCount();
+    sweepOnce();
+    ahead = 0;
+    runCounted(cfg, ahead);
+    EXPECT_GT(ahead, 0u) << "the second crossbar never fanned out";
+    EXPECT_EQ(threadCount(), before);
 }

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "sim/scenario.hh"
@@ -39,33 +41,39 @@ TEST(DeriveSeed, DeterministicAndDecorrelated)
 
 TEST(SweepEngine, OrderedAggregationUnderOversubscription)
 {
-    // 64 tasks on 8 threads (massively oversubscribed on any core
-    // count): results must still land at their task's index.
-    std::vector<Task> tasks;
-    for (int i = 0; i < 64; ++i) {
-        tasks.push_back(Task{
-            "t" + std::to_string(i),
-            [i](const SweepContext &ctx) {
-                EXPECT_EQ(ctx.index, static_cast<std::size_t>(i));
-                TaskResult r;
-                r.text = std::to_string(i) + "\n";
-                Record rec;
-                rec.set("i", i).set("seed", ctx.seed);
-                r.records.push_back(std::move(rec));
-                return r;
-            },
-        });
-    }
-    SweepOptions opt;
-    opt.jobs = 8;
-    const auto rep = runSweep(tasks, opt);
-    ASSERT_EQ(rep.results.size(), 64u);
-    EXPECT_EQ(rep.failed, 0u);
-    for (int i = 0; i < 64; ++i) {
-        ASSERT_EQ(rep.results[i].records.size(), 1u);
-        EXPECT_EQ(rep.results[i].records[0].find("i")->asUInt(),
-                  static_cast<std::uint64_t>(i));
-        EXPECT_EQ(rep.results[i].text, std::to_string(i) + "\n");
+    // 64 tasks on up to 8 threads (each thread runs many tasks), and
+    // more tasks than the pool has claim stamps: every task runs once
+    // and its result lands at its task's index.
+    for (const int n : {64, 2500}) {
+        std::atomic<int> runs = 0;
+        std::vector<Task> tasks;
+        for (int i = 0; i < n; ++i) {
+            tasks.push_back(Task{
+                "t" + std::to_string(i),
+                [i, &runs](const SweepContext &ctx) {
+                    ++runs;
+                    EXPECT_EQ(ctx.index, static_cast<std::size_t>(i));
+                    TaskResult r;
+                    r.text = std::to_string(i) + "\n";
+                    Record rec;
+                    rec.set("i", i).set("seed", ctx.seed);
+                    r.records.push_back(std::move(rec));
+                    return r;
+                },
+            });
+        }
+        SweepOptions opt;
+        opt.jobs = 8;
+        const auto rep = runSweep(tasks, opt);
+        EXPECT_EQ(runs, n);
+        ASSERT_EQ(rep.results.size(), static_cast<std::size_t>(n));
+        EXPECT_EQ(rep.failed, 0u);
+        for (int i = 0; i < n; ++i) {
+            ASSERT_EQ(rep.results[i].records.size(), 1u);
+            EXPECT_EQ(rep.results[i].records[0].find("i")->asUInt(),
+                      static_cast<std::uint64_t>(i));
+            EXPECT_EQ(rep.results[i].text, std::to_string(i) + "\n");
+        }
     }
 }
 
@@ -101,23 +109,46 @@ TEST(SweepEngine, FailurePropagation)
     EXPECT_NE(err.find("golden model"), std::string::npos) << err;
 }
 
+TEST(SweepEngine, PoolRoundsRunEveryItemThenRethrowTheLowestFailure)
+{
+    // Inline (cap 1) and fanned out alike: two items throw, every
+    // item still runs, and the lower item's exception comes back.
+    for (const unsigned cap : {1u, 0u}) {
+        std::atomic<int> runs = 0;
+        std::string thrown;
+        try {
+            forEachItem(50, cap, [&](std::size_t i) {
+                ++runs;
+                if (i == 7 || i == 31)
+                    throw std::runtime_error("item " + std::to_string(i));
+            });
+        } catch (const std::runtime_error &e) {
+            thrown = e.what();
+        }
+        EXPECT_EQ(runs, 50) << "cap " << cap;
+        EXPECT_EQ(thrown, "item 7") << "cap " << cap;
+    }
+}
+
 TEST(SweepEngine, ZeroJobsMeansTheCpusThisProcessMayUse)
 {
     // jobs = 0 sizes the pool by the affinity mask (what `taskset`
-    // restricts), never by the host's core count, and never above
-    // the task count.
-    for (const std::size_t n : {1u, 3u, 64u}) {
-        const std::vector<Task> tasks(
-            n, Task{"t", [](const SweepContext &) {
-                        return TaskResult{};
-                    }});
-        SweepOptions opt;
-        opt.jobs = 0;
-        const auto rep = runSweep(tasks, opt);
-        EXPECT_EQ(rep.failed, 0u);
-        EXPECT_EQ(rep.jobs,
-                  std::min<std::size_t>(n, availableCpus()))
-            << n << " tasks";
+    // restricts), never by the host's core count; any jobs value is a
+    // cap that the CPUs and the task count cap in turn.
+    const std::size_t cpus = availableCpus();
+    for (const unsigned jobs : {0u, 1u, 2u, 8u}) {
+        for (const std::size_t n : {1u, 3u, 64u}) {
+            const std::vector<Task> tasks(
+                n, Task{"t", [](const SweepContext &) {
+                            return TaskResult{};
+                        }});
+            SweepOptions opt;
+            opt.jobs = jobs;
+            const auto rep = runSweep(tasks, opt);
+            EXPECT_EQ(rep.failed, 0u);
+            EXPECT_EQ(rep.jobs, std::min({n, jobs ? jobs : cpus, cpus}))
+                << n << " tasks, jobs " << jobs;
+        }
     }
 }
 
@@ -159,6 +190,44 @@ TEST(SweepDeterminism, JsonByteIdenticalAcrossJobs)
     // And the artifact is non-trivial: every leg contributed a row.
     for (const auto &leg : legs)
         EXPECT_NE(json[0].find(leg.name()), std::string::npos);
+}
+
+TEST(SweepDeterminism, SweepInsideASweepTaskRunsInline)
+{
+    // A sweep started from a pool task finds the pool running a round
+    // and runs on its task's thread, with the bytes of a top-level
+    // sweep.
+    const auto legs = tinyMatrix();
+    const auto sweepJson = [&](unsigned &jobs_used) {
+        auto tasks = makeScenarioTasks(legs, /*deriveSeeds=*/false);
+        SweepOptions opt;
+        opt.jobs = 0;
+        const auto rep = runSweep(tasks, opt);
+        EXPECT_EQ(rep.failed, 0u);
+        jobs_used = rep.jobs;
+        EmitMeta meta;
+        meta.tool = "test";
+        return toJson(rep, tasks, meta);
+    };
+    unsigned top_jobs = 0;
+    const std::string top = sweepJson(top_jobs);
+
+    std::vector<std::string> inner(3);
+    std::vector<unsigned> inner_jobs(3, 0);
+    std::vector<Task> outer;
+    for (std::size_t k = 0; k < inner.size(); ++k) {
+        outer.push_back(Task{"outer", [&, k](const SweepContext &) {
+                                 inner[k] = sweepJson(inner_jobs[k]);
+                                 return TaskResult{};
+                             }});
+    }
+    SweepOptions opt;
+    opt.jobs = 0;
+    ASSERT_EQ(runSweep(outer, opt).failed, 0u);
+    for (std::size_t k = 0; k < inner.size(); ++k) {
+        EXPECT_EQ(inner[k], top) << "inner sweep " << k;
+        EXPECT_EQ(inner_jobs[k], 1u) << "inner sweep " << k;
+    }
 }
 
 TEST(SweepDeterminism, MasterSeedDerivesPerLegSeeds)
