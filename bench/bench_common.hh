@@ -11,9 +11,10 @@
  *                of exactly this output
  *   --csv PATH   same records as CSV
  *
- * Unknown arguments are rejected loudly: a mistyped --smoke silently
- * running the full-length sweep is exactly the CI failure mode this
- * helper exists to prevent.
+ * Unknown arguments and malformed numbers (cli::parseNumber, the
+ * examples' strict parser) are rejected loudly with exit 2: a
+ * mistyped --smoke silently running the full-length sweep is exactly
+ * the CI failure mode this helper exists to prevent.
  *
  * Each bench builds a list of sweep::Task objects, runs them through
  * sweep::runSweep, prints the buffered per-task text in task order
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "../examples/fabric_cli.hh"
 #include "sweep/emit.hh"
 #include "sweep/sweep.hh"
 
@@ -54,25 +56,30 @@ struct Options
 inline Options
 parseArgs(int argc, char **argv, const char *extra_usage = nullptr)
 {
+    const auto reject = [&](const std::string &why) {
+        std::fprintf(stderr,
+                     "%s: %s\n"
+                     "usage: %s [--smoke] [--jobs N]"
+                     " [--json PATH] [--csv PATH]\n%s",
+                     argv[0], why.c_str(), argv[0],
+                     extra_usage ? extra_usage : "");
+        std::exit(2);
+    };
     Options opt;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--smoke")) {
             opt.smoke = true;
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            const char *tok = argv[++i];
+            if (!cli::parseNumber(tok, opt.jobs))
+                reject("invalid value '" + std::string(tok) +
+                       "' for --jobs");
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             opt.jsonPath = argv[++i];
         } else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) {
             opt.csvPath = argv[++i];
         } else {
-            std::fprintf(stderr,
-                         "%s: unknown argument '%s'\n"
-                         "usage: %s [--smoke] [--jobs N]"
-                         " [--json PATH] [--csv PATH]\n%s",
-                         argv[0], argv[i], argv[0],
-                         extra_usage ? extra_usage : "");
-            std::exit(2);
+            reject("unknown argument '" + std::string(argv[i]) + "'");
         }
     }
     return opt;

@@ -16,6 +16,7 @@
 
 #include "bench_common.hh"
 #include "sim/scenario.hh"
+#include "soak/checkpoint.hh"
 #include "sweep/scenario_sweep.hh"
 
 using namespace pktbuf;
@@ -27,7 +28,7 @@ namespace
 sweep::TaskResult
 runLeg(const Scenario &s)
 {
-    const auto out = runScenario(s);
+    const auto out = soak::runScenario(s);
     sweep::TaskResult res;
     char line[256];
     std::snprintf(line, sizeof(line),

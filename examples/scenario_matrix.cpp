@@ -35,11 +35,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "fabric_cli.hh"
 #include "sim/scenario.hh"
 #include "sweep/emit.hh"
 #include "sweep/scenario_sweep.hh"
@@ -105,6 +105,12 @@ main(int argc, char **argv)
     std::string json_path;
     std::string csv_path;
 
+    // Numbers parse strictly: a malformed value exits 2.
+    const auto number = [&](int &i, auto &out) {
+        const char *tok = argv[++i];
+        if (!cli::parseNumber(tok, out))
+            cli::rejectValue(argv[0], tok, argv[i - 1], usage);
+    };
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--smoke")) {
             smoke = true;
@@ -115,14 +121,14 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--filter") && i + 1 < argc) {
             filter = argv[++i];
         } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-            seed_override = std::strtoull(argv[++i], nullptr, 0);
+            number(i, seed_override);
             have_seed = true;
         } else if (!std::strcmp(argv[i], "--seed-exact") &&
                    i + 1 < argc) {
-            seed_exact = std::strtoull(argv[++i], nullptr, 0);
+            number(i, seed_exact);
             have_seed_exact = true;
         } else if (!std::strcmp(argv[i], "--slots") && i + 1 < argc) {
-            slots_override = std::strtoull(argv[++i], nullptr, 0);
+            number(i, slots_override);
             have_slots = true;
         } else if (!std::strcmp(argv[i], "--engine") && i + 1 < argc) {
             const std::string tok = argv[++i];
@@ -133,8 +139,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            number(i, jobs);
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             json_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) {

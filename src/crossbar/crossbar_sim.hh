@@ -11,9 +11,8 @@
  * finally interact with fabric-induced contention.
  *
  * The layering deliberately adds no second simulation code path:
- * input i *is* a soak::ScenarioRun (the checkpointable
- * runScenarioWith() skeleton) whose workload's requests are the
- * matching engine's grants.
+ * input i *is* a soak::ScenarioRun (the one driver of every leg)
+ * whose workload's requests are the matching engine's grants.
  *
  * The engine runs in windows of up to 256 slots.  Its control plane,
  * on the calling thread, plans each slot of a window: it hands the

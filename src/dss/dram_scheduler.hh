@@ -3,9 +3,10 @@
  * The DRAM Scheduler Algorithm (DSA) tying one Requests Register to
  * the shared Ongoing Requests Register: every granularity interval
  * it launches the oldest request whose bank is free (Section 5.3).
- * The read path and the write path each own a scheduler; both share
- * one ORR because a bank is locked no matter which direction locked
- * it.
+ * HybridBuffer owns one scheduler whose Requests Register holds
+ * reads and writes together (the combined RR of Figure 5); the ORR
+ * is a separate object because a bank is locked no matter which
+ * direction locked it.
  *
  * With a timed DRAM policy (dram/timing.hh) a launch can be refused
  * for three distinct reasons -- bank busy, refresh blackout, or

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/shift_register.hh"
 #include "common/types.hh"
 
@@ -63,7 +64,7 @@ class EcqfMma
     void
     onRequestEntering(QueueId p)
     {
-        pend_[p].push(clock_++);
+        pend_[p].pushBack(clock_++);
         refreshCritical(p);
     }
 
@@ -80,8 +81,8 @@ class EcqfMma
         // Tolerant pop: owners that never announced the request's
         // entry (scan()-only users, unit tests driving the counters
         // directly) keep an empty ring here.
-        if (pend_[p].count > 0)
-            pend_[p].pop();
+        if (!pend_[p].empty())
+            pend_[p].popFront();
         refreshCritical(p);
     }
 
@@ -172,7 +173,7 @@ class EcqfMma
             return;
         heap_.clear();
         for (const QueueId p : crit_)
-            heap_.push_back({pend_[p].at(slackOf(p)), p, slackOf(p)});
+            heap_.push_back({pend_[p][slackOf(p)], p, slackOf(p)});
         const auto later = [](const CritEntry &a, const CritEntry &b) {
             return a.stamp > b.stamp;  // min-heap on entry stamp
         };
@@ -192,8 +193,8 @@ class EcqfMma
             // with a deficit (occ < 0) the two differ.
             const std::size_t next =
                 std::max(slackOf(e.q), e.idx + 1);
-            if (pend_[e.q].count > next) {
-                heap_.push_back({pend_[e.q].at(next), e.q, next});
+            if (pend_[e.q].size() > next) {
+                heap_.push_back({pend_[e.q][next], e.q, next});
                 std::push_heap(heap_.begin(), heap_.end(), later);
             }
         }
@@ -212,7 +213,7 @@ class EcqfMma
     resetCalendar()
     {
         for (auto &ring : pend_)
-            ring.clear();
+            ring.resize(0);
         crit_.clear();
         std::fill(crit_pos_.begin(), crit_pos_.end(), kNoPos);
         clock_ = 0;
@@ -242,50 +243,6 @@ class EcqfMma
     }
 
   private:
-    /** Ring of entry stamps, oldest (closest to the head) first.
-     *  Capacity is always a power of two so the index wrap is a mask,
-     *  not a division -- this runs up to twice per simulated slot. */
-    struct StampRing
-    {
-        std::vector<std::uint64_t> buf;
-        std::size_t head = 0;
-        std::size_t count = 0;
-
-        std::uint64_t
-        at(std::size_t i) const
-        {
-            return buf[(head + i) & (buf.size() - 1)];
-        }
-
-        void
-        push(std::uint64_t s)
-        {
-            if (count == buf.size()) {
-                std::vector<std::uint64_t> grown(
-                    std::max<std::size_t>(8, buf.size() * 2));
-                for (std::size_t i = 0; i < count; ++i)
-                    grown[i] = at(i);
-                buf = std::move(grown);
-                head = 0;
-            }
-            buf[(head + count) & (buf.size() - 1)] = s;
-            ++count;
-        }
-
-        void
-        pop()
-        {
-            head = (head + 1) & (buf.size() - 1);
-            --count;
-        }
-
-        void
-        clear()
-        {
-            head = count = 0;
-        }
-    };
-
     struct CritEntry
     {
         std::uint64_t stamp;
@@ -312,7 +269,7 @@ class EcqfMma
     void
     refreshCritical(QueueId p)
     {
-        const bool critical = pend_[p].count > slackOf(p);
+        const bool critical = pend_[p].size() > slackOf(p);
         const bool member = crit_pos_[p] != kNoPos;
         if (critical == member)
             return;
@@ -337,8 +294,9 @@ class EcqfMma
     std::vector<std::uint64_t> epoch_;  // ser: derived
     std::uint64_t scan_epoch_ = 0;  // ser: derived
     // --- Event-calendar view; rebuilt from the lookahead on load ---
-    /** Entry stamps of the requests resident in the lookahead. */
-    std::vector<StampRing> pend_;  // ser: derived
+    /** Entry stamps of the requests resident in the lookahead,
+     *  oldest (closest to the head) first, per queue. */
+    std::vector<Ring<std::uint64_t>> pend_;  // ser: derived
     /** Queues with pend_ count > slackOf() (unordered; decisions
      *  sort by stamp so membership order never matters). */
     std::vector<QueueId> crit_;  // ser: derived

@@ -1,9 +1,7 @@
 #include "scenario.hh"
 
-#include <exception>
 #include <sstream>
 
-#include "buffer/hybrid_buffer.hh"
 #include "common/logging.hh"
 
 namespace pktbuf::sim
@@ -112,82 +110,6 @@ makeWorkload(const Scenario &s)
                                                kWarmup, s.load);
     }
     panic("unknown workload kind");
-}
-
-ScenarioOutcome
-runScenario(const Scenario &s)
-{
-    std::unique_ptr<Workload> wl;
-    try {
-        wl = makeWorkload(s);
-    } catch (const std::exception &e) {
-        ScenarioOutcome out;
-        out.failure = std::string("exception: ") + e.what() + "; [" +
-                      s.describe() + "]";
-        return out;
-    }
-    return runScenarioWith(s, *wl);
-}
-
-void
-completeScenario(const Scenario &s, buffer::HybridBuffer &buf,
-                 SimRunner &runner, Workload &wl,
-                 ScenarioOutcome &out, std::string &why)
-{
-    std::ostringstream os;
-
-    const std::uint64_t credits = wl.totalCredit();
-    // Steady-state drain delivers ~1 cell/slot; the budget leaves
-    // generous slack for pipeline refill and bank conflicts.
-    const std::uint64_t budget =
-        8 * credits + 16 * buf.pipelineDepth() +
-        64ull * s.granRads + 4096;
-    out.drained = runner.drain(budget);
-
-    out.verified = runner.checker().granted();
-    out.report = buf.report();
-    out.undelivered = wl.totalCredit();
-
-    if (out.verified != out.run.grants + out.drained) {
-        os << "golden checker saw " << out.verified
-           << " grants, runner counted "
-           << out.run.grants + out.drained << "; ";
-    }
-    if (out.undelivered != 0) {
-        os << out.undelivered
-           << " cells arrived but were never granted; ";
-    }
-    if (out.verified != out.run.arrivals) {
-        os << "delivered " << out.verified << " of "
-           << out.run.arrivals << " admitted arrivals; ";
-    }
-    if (out.verified == 0)
-        os << "leg delivered no cells at all; ";
-
-    why += os.str();
-}
-
-ScenarioOutcome
-runScenarioWith(const Scenario &s, Workload &wl)
-{
-    ScenarioOutcome out;
-    std::string why;
-    try {
-        buffer::HybridBuffer buf(s.bufferConfig());
-        SimRunner runner(buf, wl, /*check=*/true);
-        out.run = runner.run(s.slots);
-        completeScenario(s, buf, runner, wl, out, why);
-    } catch (const std::exception &e) {
-        why += std::string("exception: ") + e.what() + "; ";
-    }
-
-    out.passed = why.empty();
-    if (!out.passed) {
-        // Always name the scenario and seed so the leg can be
-        // replayed from the log alone.
-        out.failure = why + "[" + s.describe() + "]";
-    }
-    return out;
 }
 
 namespace

@@ -6,7 +6,9 @@
  * granularity b x queue count.  Every leg runs with the golden FIFO
  * checker enabled, is drained to completion, and reports a
  * self-describing pass/fail outcome that always names the seed, so
- * any failure is reproducible from the log alone.
+ * any failure is reproducible from the log alone.  The legs run
+ * through soak::runScenario (soak/checkpoint.hh), the one driver of
+ * every leg.
  *
  * The matrix is the regression backbone for later scaling and
  * performance PRs: a change to any layer (MMA, DSS, DRAM, renaming)
@@ -27,11 +29,6 @@
 #include "dram/timing.hh"
 #include "sim/runner.hh"
 #include "sim/workload.hh"
-
-namespace pktbuf::buffer
-{
-class HybridBuffer;
-} // namespace pktbuf::buffer
 
 namespace pktbuf::sim
 {
@@ -97,7 +94,7 @@ struct Scenario
     std::string timingTag;
     /**
      * Override token for name()/describe() when the leg runs a
-     * caller-supplied workload (runScenarioWith) that no
+     * caller-supplied workload (soak::WorkloadFactory) that no
      * WorkloadKind names -- e.g. the switch layer's permutation
      * stripes ("subsetrr_o3_w4").  Empty (the default) keeps
      * toString(workload), so every legacy leg name is unchanged.
@@ -159,53 +156,6 @@ struct ScenarioOutcome
  *         `s.seed`, so identical scenarios replay bit-for-bit)
  */
 std::unique_ptr<Workload> makeWorkload(const Scenario &s);
-
-/**
- * Run one leg end to end: build the buffer, drive it for
- * `s.slots` with the golden checker on, then drain every remaining
- * credited cell.  Never throws: panics and fatals become a failed
- * outcome whose message names the scenario and seed.
- *
- * Legs are self-contained (own buffer, workload, RNG), so any number
- * of them may run concurrently -- the sweep engine
- * (sweep/scenario_sweep.hh) relies on exactly this.
- *
- * @param s the leg to run
- * @return the outcome; `passed` is false iff any invariant broke,
- *         with `failure` carrying Scenario::describe() and the seed
- */
-ScenarioOutcome runScenario(const Scenario &s);
-
-/**
- * Run one leg against a caller-supplied workload: the same
- * build/run/drain/verify skeleton as runScenario(), but the workload
- * is injected instead of derived from `s.workload`.  The switch
- * layer (src/switch) drives every port through this entry so that a
- * port whose traffic happens to match a matrix leg (the 1-port
- * uniform switch) reproduces that leg bit-for-bit -- same code path,
- * same RNG stream, same drain budget.
- *
- * @param s  the leg; its buffer configuration, slot budget and
- *           describe() text are used (s.workload is NOT consulted)
- * @param wl the workload to drive with; must address s.queues queues
- * @return the outcome; `passed` is false iff any invariant broke
- */
-ScenarioOutcome runScenarioWith(const Scenario &s, Workload &wl);
-
-/**
- * Shared completion path for a leg whose main phase (`runner.run`)
- * has already happened: drain every remaining credited cell, verify
- * the golden totals and fill out.drained / verified / undelivered /
- * report.  Diagnostic text for any broken invariant is appended to
- * `why` (left empty iff the leg passed).  The soak layer's
- * checkpoint-segmented runs finish through this exact function so
- * their outcomes are bit-identical to an unbroken runScenarioWith().
- * May propagate exceptions (drain-phase panics); callers convert
- * them to failures the same way runScenarioWith() does.
- */
-void completeScenario(const Scenario &s, buffer::HybridBuffer &buf,
-                      SimRunner &runner, Workload &wl,
-                      ScenarioOutcome &out, std::string &why);
 
 /**
  * Full sweep: 3 variants x 4 workloads x several (Q, B, b) grids.

@@ -69,7 +69,7 @@ readFile(const std::string &path)
 }
 
 ScenarioRun::ScenarioRun(const sim::Scenario &s, WorkloadFactory factory)
-    : s_(s), fingerprint_(ser::fnv1a(s.describe())),
+    : s_(s),
       wl_(factory ? factory() : sim::makeWorkload(s)),
       buf_(std::make_unique<buffer::HybridBuffer>(s.bufferConfig())),
       runner_(std::make_unique<sim::SimRunner>(*buf_, *wl_,
@@ -93,13 +93,14 @@ ScenarioRun::checkpoint() const
 {
     ser::Writer w;
     ser::save(w, *this);
-    return sealCheckpoint(w.bytes(), fingerprint_);
+    return sealCheckpoint(w.bytes(), ser::fnv1a(s_.describe()));
 }
 
 void
 ScenarioRun::restore(const std::string &bytes)
 {
-    const std::string payload = openCheckpoint(bytes, fingerprint_);
+    const std::string payload =
+        openCheckpoint(bytes, ser::fnv1a(s_.describe()));
     ser::Reader r(payload);
     ser::load(r, *this);
     r.done();
@@ -122,18 +123,53 @@ sim::ScenarioOutcome
 ScenarioRun::finish()
 {
     sim::ScenarioOutcome out;
-    std::string why;
+    std::ostringstream why;
     try {
         out.run = runner_->run(s_.slots - executed_);
         executed_ = s_.slots;
-        sim::completeScenario(s_, *buf_, *runner_, *wl_, out, why);
+        // Steady-state drain delivers ~1 cell/slot; the budget leaves
+        // generous slack for pipeline refill and bank conflicts.
+        const std::uint64_t budget = 8 * wl_->totalCredit() +
+                                     16 * buf_->pipelineDepth() +
+                                     64ull * s_.granRads + 4096;
+        out.drained = runner_->drain(budget);
+        out.verified = runner_->checker().granted();
+        out.report = buf_->report();
+        out.undelivered = wl_->totalCredit();
+
+        if (out.verified != out.run.grants + out.drained) {
+            why << "golden checker saw " << out.verified
+                << " grants, runner counted "
+                << out.run.grants + out.drained << "; ";
+        }
+        if (out.undelivered != 0) {
+            why << out.undelivered
+                << " cells arrived but were never granted; ";
+        }
+        if (out.verified != out.run.arrivals) {
+            why << "delivered " << out.verified << " of "
+                << out.run.arrivals << " admitted arrivals; ";
+        }
+        // A leg offered no cell has nothing to deliver; one whose
+        // every arrival was dropped has failed.
+        if (out.verified == 0 && (out.run.arrivals || out.run.drops))
+            why << "leg delivered no cells at all; ";
     } catch (const std::exception &e) {
-        why += std::string("exception: ") + e.what() + "; ";
+        why << "exception: " << e.what() << "; ";
     }
-    out.passed = why.empty();
+    out.failure = why.str();
+    out.passed = out.failure.empty();
+    // Always name the scenario and seed so the leg can be replayed
+    // from the log alone.
     if (!out.passed)
-        out.failure = why + "[" + s_.describe() + "]";
+        out.failure += "[" + s_.describe() + "]";
     return out;
+}
+
+sim::ScenarioOutcome
+runScenario(const sim::Scenario &s, WorkloadFactory factory)
+{
+    return runCheckpointed<ScenarioRun>(s, 0, factory);
 }
 
 } // namespace pktbuf::soak

@@ -72,16 +72,18 @@ std::string readFile(const std::string &path);
 /**
  * Builds the workload for a leg.  The default (empty) factory uses
  * sim::makeWorkload(scenario); the switch layer injects
- * makePortWorkload so port legs checkpoint through the same driver.
+ * makePortWorkload so port legs run through the same driver.
  */
 using WorkloadFactory =
     std::function<std::unique_ptr<sim::Workload>()>;
 
 /**
- * One checkpointable scenario leg: the buffer, workload and runner
- * of sim::runScenarioWith(), but with the main phase split so the
+ * One scenario leg -- the only code that builds, runs, drains and
+ * golden-verifies a sim::Scenario.  The workload is built first,
+ * then the buffer and the runner; the main phase is split so the
  * caller can stop at any slot, snapshot, and continue -- in this
- * process or another.
+ * process or another.  Every leg runs through it: the matrix legs
+ * and switch ports via runScenario(), the crossbar's inputs directly.
  *
  * Usage:
  *   ScenarioRun a(s);
@@ -123,10 +125,11 @@ class ScenarioRun
     void fields(ser::Io &io);
 
     /**
-     * Run the remaining main-phase slots and complete the leg
-     * through sim::completeScenario() -- the exact path
-     * runScenarioWith() takes, so the outcome (and any record built
-     * from it) is bit-identical to an unbroken run.
+     * Run the remaining main-phase slots, drain every credited cell
+     * and verify the golden totals.  Never throws: a broken
+     * invariant or an exception fails the outcome, whose message
+     * names the leg and its seed.  A leg offered no cell at all (no
+     * arrival, no drop) passes.
      */
     sim::ScenarioOutcome finish();
 
@@ -134,8 +137,10 @@ class ScenarioRun
     const sim::Workload &workload() const { return *wl_; }
 
   private:
+    /** Also the source of the config fingerprint, hashed only when
+     *  a checkpoint is sealed or opened: a leg that never
+     *  checkpoints never formats describe(). */
     sim::Scenario s_;  // ser: config
-    std::uint64_t fingerprint_;  // ser: config
     std::unique_ptr<sim::Workload> wl_;
     std::unique_ptr<buffer::HybridBuffer> buf_;
     std::unique_ptr<sim::SimRunner> runner_;
@@ -150,23 +155,26 @@ class ScenarioRun
  * (or >= cfg.slots) this is a plain run.  Never throws; an exception
  * becomes a failed outcome carrying cfg.describe() (and so the seed).
  *
- * @tparam Run a run built from `cfg` with runTo(), checkpoint(),
- *         restore() and finish()
+ * @tparam Run a run built from `cfg` and `args` with runTo(),
+ *         checkpoint(), restore() and finish()
+ * @param args further constructor arguments (a ScenarioRun's
+ *        WorkloadFactory), passed to every fresh Run
  */
-template <typename Run, typename Config>
+template <typename Run, typename Config, typename... Args>
 auto
-runCheckpointed(const Config &cfg, std::uint64_t every)
+runCheckpointed(const Config &cfg, std::uint64_t every,
+                const Args &...args)
 {
     using Outcome = decltype(std::declval<Run &>().finish());
     try {
-        auto run = std::make_unique<Run>(cfg);
+        auto run = std::make_unique<Run>(cfg, args...);
         if (every > 0) {
             for (std::uint64_t at = every; at < cfg.slots; at += every) {
                 run->runTo(at);
                 const std::string bytes = run->checkpoint();
                 // Restore into entirely fresh objects: the same
                 // rebuild a cross-process resume performs.
-                run = std::make_unique<Run>(cfg);
+                run = std::make_unique<Run>(cfg, args...);
                 run->restore(bytes);
             }
         }
@@ -178,6 +186,18 @@ runCheckpointed(const Config &cfg, std::uint64_t every)
         return out;
     }
 }
+
+/**
+ * Run one leg end to end: the unbroken case of runCheckpointed().
+ * Legs are self-contained (own buffer, workload, RNG), so any number
+ * of them may run concurrently.
+ * @param s the leg to run
+ * @param factory optional workload factory (see WorkloadFactory)
+ * @return the outcome; `passed` is false iff any invariant broke,
+ *         with `failure` carrying Scenario::describe() and the seed
+ */
+sim::ScenarioOutcome runScenario(const sim::Scenario &s,
+                                 WorkloadFactory factory = {});
 
 } // namespace pktbuf::soak
 

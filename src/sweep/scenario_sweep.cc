@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "soak/checkpoint.hh"
+
 namespace pktbuf::sweep
 {
 
@@ -66,7 +68,7 @@ makeScenarioTasks(const std::vector<sim::Scenario> &legs,
                 sim::Scenario s = leg;
                 if (deriveSeeds)
                     s.seed = ctx.seed;
-                const auto out = sim::runScenario(s);
+                const auto out = soak::runScenario(s);
                 TaskResult r;
                 char buf[256];
                 std::snprintf(

@@ -22,7 +22,7 @@ namespace pktbuf::sweep
 /**
  * Build one sweep task per scenario leg.
  *
- * Each task runs its leg through sim::runScenario (golden checker on,
+ * Each task runs its leg through soak::runScenario (golden checker on,
  * full drain), formats the classic table row into TaskResult::text,
  * and reports one Record with the leg's configuration, counters and
  * pass/fail state.  A failed leg produces a failed TaskResult whose

@@ -1,13 +1,13 @@
 #include "switch_sim.hh"
 
 #include <algorithm>
-#include <exception>
 #include <numeric>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "sim/workload.hh"
+#include "soak/checkpoint.hh"
 #include "sweep/emit.hh"
 #include "sweep/scenario_sweep.hh"
 #include "sweep/sweep.hh"
@@ -209,21 +209,6 @@ makePortWorkload(const PortPlan &plan)
     panic("unknown traffic pattern");
 }
 
-sim::ScenarioOutcome
-runPort(const PortPlan &plan)
-{
-    std::unique_ptr<sim::Workload> wl;
-    try {
-        wl = makePortWorkload(plan);
-    } catch (const std::exception &e) {
-        sim::ScenarioOutcome out;
-        out.failure = std::string("exception: ") + e.what() + "; [" +
-                      plan.scenario.describe() + "]";
-        return out;
-    }
-    return sim::runScenarioWith(plan.scenario, *wl);
-}
-
 SwitchOutcome
 runPlans(const std::vector<PortPlan> &plans, unsigned jobs)
 {
@@ -233,7 +218,9 @@ runPlans(const std::vector<PortPlan> &plans, unsigned jobs)
 
     // Each port writes only its own slot of out.ports.
     sweep::forEachItem(plans.size(), jobs, [&](std::size_t i) {
-        out.ports[i] = runPort(plans[i]);
+        const PortPlan &plan = plans[i];
+        out.ports[i] = soak::runScenario(
+            plan.scenario, [&plan] { return makePortWorkload(plan); });
     });
 
     auto &r = out.report;

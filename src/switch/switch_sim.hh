@@ -18,7 +18,7 @@
  *
  * The load-bearing invariant: a 1-port switch under the uniform
  * pattern builds the very Scenario a single-buffer matrix leg would
- * build and runs it through the same runScenarioWith() skeleton, so
+ * build and runs it through the same soak::runScenario() driver, so
  * its per-port outcome reproduces that leg bit-for-bit.  The switch
  * layer adds traffic *shape*, never a second simulation code path.
  */
@@ -129,8 +129,9 @@ struct SwitchConfig
  * Fully resolved plan of one port: the scenario leg it runs (buffer
  * config, resolved load, derived seed, slot budget) plus the
  * cross-port traffic role the pattern assigned to it.  A plan is
- * self-contained -- runPort(plan) rebuilds the port bit-for-bit with
- * no access to the SwitchConfig or to any other port.
+ * self-contained -- soak::runScenario over the plan's scenario and
+ * makePortWorkload(plan) rebuilds the port bit-for-bit with no
+ * access to the SwitchConfig or to any other port.
  */
 struct PortPlan
 {
@@ -174,13 +175,6 @@ std::vector<PortPlan> planPorts(const SwitchConfig &cfg);
  */
 std::unique_ptr<sim::Workload> makePortWorkload(const PortPlan &plan);
 
-/**
- * Run one port end to end (golden checker on, full drain) through
- * the same runScenarioWith() skeleton the matrix legs use.  Never
- * throws; failures carry the scenario description and seed.
- */
-sim::ScenarioOutcome runPort(const PortPlan &plan);
-
 /** Switch-level aggregation of the per-port reports. */
 struct SwitchReport : fabric::Report
 {
@@ -208,8 +202,10 @@ struct SwitchOutcome
 
 /**
  * Run a list of port plans: shard the ports onto the sweep engine's
- * thread pool (`jobs` caps the threads as in sweep::SweepOptions)
- * and aggregate the outcomes in port order.  Because every plan is
+ * thread pool (`jobs` caps the threads as in sweep::SweepOptions),
+ * run each through soak::runScenario (golden checker on, full
+ * drain) with its makePortWorkload, and aggregate the outcomes in
+ * port order.  Because every plan is
  * self-contained, the result -- including every byte of the derived
  * artifacts -- is independent of `jobs` and of the plans' positions
  * in the list.

@@ -584,7 +584,7 @@ TEST(CrossbarEquivalence, OnePortReproducesSingleBufferLeg)
     // matching single-buffer scenario leg.  Any maximal scheduler is
     // work-conserving at N == 1, which is exactly what the
     // self-greedy reference workload plays back through the plain
-    // runScenarioWith() skeleton -- so the serialized scenario
+    // soak::runScenario() driver -- so the serialized scenario
     // records must agree byte for byte, for every scheduler.
     for (const auto kind : kAllKinds) {
         SCOPED_TRACE(toString(kind));
@@ -597,9 +597,9 @@ TEST(CrossbarEquivalence, OnePortReproducesSingleBufferLeg)
         ASSERT_EQ(out.inputs.size(), 1u);
 
         const auto plans = planCrossbar(cfg);
-        auto ref = makeInputWorkload(plans[0], /*self_greedy=*/true);
-        const auto leg =
-            sim::runScenarioWith(plans[0].scenario, *ref);
+        const auto leg = soak::runScenario(plans[0].scenario, [&] {
+            return makeInputWorkload(plans[0], /*self_greedy=*/true);
+        });
         EXPECT_TRUE(leg.passed) << leg.failure;
         EXPECT_EQ(
             recordJson(sweep::scenarioRecord(plans[0].scenario,
@@ -672,37 +672,6 @@ TEST(CrossbarRun, RepeatRunsAreByteIdentical)
     cfg.scheduler = SchedulerKind::Qps;
     EXPECT_EQ(outcomeJson(cfg, runCrossbar(cfg)),
               outcomeJson(cfg, runCrossbar(cfg)));
-}
-
-TEST(CrossbarFailure, FailedInputsFailTheRunAndTheArtifact)
-{
-    // One slot at load 0.05: inputs see no arrival, deliver no cells
-    // and fail their leg's liveness invariant.
-    CrossbarConfig cfg = baseConfig(4, fabric::TrafficPattern::Uniform, 1);
-    cfg.load = 0.05;
-    const auto out = runCrossbar(cfg);
-    EXPECT_FALSE(out.passed);
-    ASSERT_GT(out.report.failed, 0u);
-    for (std::size_t i = 0; i < out.inputs.size(); ++i) {
-        if (!out.inputs[i].passed) {
-            EXPECT_NE(out.failure.find("input" + std::to_string(i) + ": "),
-                      std::string::npos)
-                << out.failure;
-        }
-    }
-    EXPECT_NE(out.failure.find("master_seed=" +
-                               std::to_string(cfg.masterSeed)),
-              std::string::npos)
-        << out.failure;
-
-    // The artifact's "failed" counts exactly its ok=false rows: every
-    // failed input's and the aggregate's.
-    const std::string path = testing::TempDir() + "/xbar_failure.json";
-    emitCrossbarArtifacts(cfg, out, "test", {}, path, "");
-    const auto rows = testutil::readArtifactRows(path);
-    EXPECT_EQ(rows.failed, rows.okFalse);
-    EXPECT_EQ(rows.failed, out.report.failed + 1);
-    std::remove(path.c_str());
 }
 
 TEST(CrossbarCheckpoint, RestoreIsBitIdenticalForEveryScheduler)
@@ -1047,6 +1016,40 @@ finishFrom(const CrossbarConfig &cfg, const std::string &bytes,
 }
 
 } // namespace
+
+TEST(CrossbarFailure, FailedInputsFailTheRunAndTheArtifact)
+{
+    // Input 0 is granted a cell its buffer never held and fails its
+    // leg.  (An input offered no cell passes: it has nothing to
+    // deliver.)
+    CrossbarConfig cfg =
+        baseConfig(4, fabric::TrafficPattern::Uniform, 2000);
+    CrossbarRun run(cfg);
+    run.restore(phantomCheckpoint(cfg, 500));
+    const auto out = run.finish();
+    EXPECT_FALSE(out.passed);
+    ASSERT_GT(out.report.failed, 0u);
+    for (std::size_t i = 0; i < out.inputs.size(); ++i) {
+        if (!out.inputs[i].passed) {
+            EXPECT_NE(out.failure.find("input" + std::to_string(i) + ": "),
+                      std::string::npos)
+                << out.failure;
+        }
+    }
+    EXPECT_NE(out.failure.find("master_seed=" +
+                               std::to_string(cfg.masterSeed)),
+              std::string::npos)
+        << out.failure;
+
+    // The artifact's "failed" counts exactly its ok=false rows: every
+    // failed input's and the aggregate's.
+    const std::string path = testing::TempDir() + "/xbar_failure.json";
+    emitCrossbarArtifacts(cfg, out, "test", {}, path, "");
+    const auto rows = testutil::readArtifactRows(path);
+    EXPECT_EQ(rows.failed, rows.okFalse);
+    EXPECT_EQ(rows.failed, out.report.failed + 1);
+    std::remove(path.c_str());
+}
 
 TEST(CrossbarWindow, InputFailureDiscardsTheLookAhead)
 {

@@ -84,9 +84,9 @@ void
 differentialLeg(const sim::Scenario &s)
 {
     SCOPED_TRACE(s.describe());
-    const auto ref = sim::runScenario(s);
+    const auto ref = soak::runScenario(s);
     const sim::Scenario evt_leg = eventTwin(s);
-    const auto evt = sim::runScenario(evt_leg);
+    const auto evt = soak::runScenario(evt_leg);
     expectIdenticalOutcomes(s, ref, evt_leg, evt);
 }
 
@@ -179,7 +179,7 @@ TEST(EventCoreOracle, CrossEngineRestore)
     // finishes bit-identically to an unbroken reference run.
     for (const auto &s : checkpointLegs()) {
         SCOPED_TRACE(s.describe());
-        const auto plain = sim::runScenario(s);
+        const auto plain = soak::runScenario(s);
         const auto expect = recordBytes(s, plain);
         const sim::Scenario evt_leg = eventTwin(s);
         // The odd cursors sit off the b and B interval grid.
@@ -428,7 +428,7 @@ TEST(EventCoreFuzzSmoke, RandomLegsMatchReference)
              << " every=" << every << " (PKTBUF_FUZZ_SEED=" << master
              << ")";
         SCOPED_TRACE(desc.str());
-        const auto ref = sim::runScenario(s);
+        const auto ref = soak::runScenario(s);
         const sim::Scenario evt_leg = eventTwin(s);
         const auto evt =
             soak::runCheckpointed<soak::ScenarioRun>(evt_leg, every);

@@ -12,6 +12,7 @@
 #include <set>
 
 #include "sim/scenario.hh"
+#include "soak/checkpoint.hh"
 
 using namespace pktbuf;
 using namespace pktbuf::sim;
@@ -22,7 +23,7 @@ class ScenarioMatrix : public ::testing::TestWithParam<Scenario>
 TEST_P(ScenarioMatrix, EveryGrantMatchesGoldenModel)
 {
     const Scenario &s = GetParam();
-    const ScenarioOutcome out = runScenario(s);
+    const ScenarioOutcome out = soak::runScenario(s);
     EXPECT_TRUE(out.passed) << out.failure;
     EXPECT_EQ(out.undelivered, 0u) << s.describe();
     EXPECT_EQ(out.verified, out.run.grants + out.drained)
@@ -99,7 +100,7 @@ TEST(ScenarioMatrixShape, RenamingLegsActuallyExerciseRenaming)
     for (const auto &s : defaultMatrix()) {
         if (s.variant != BufferVariant::CfdsRenaming)
             continue;
-        const auto out = runScenario(s);
+        const auto out = soak::runScenario(s);
         ASSERT_TRUE(out.passed) << out.failure;
         renames += out.report.renames;
         drops += out.run.drops;
@@ -122,7 +123,7 @@ TEST(ScenarioMatrixShape, TimingLegsProvokeTheirStallCauses)
         ASSERT_FALSE(s.timing.isUniform()) << s.describe();
         ASSERT_FALSE(s.timingTag.empty()) << s.describe();
         tags.insert(s.timingTag);
-        const auto out = runScenario(s);
+        const auto out = soak::runScenario(s);
         ASSERT_TRUE(out.passed) << out.failure;
         if (s.timingTag == "refresh" || s.timingTag == "ddr")
             refresh += out.report.dsaStallsRefresh;
@@ -162,8 +163,8 @@ TEST(ScenarioMatrixShape, LegsAreDeterministic)
 {
     // Two runs of the same leg produce identical counters.
     Scenario s = smokeMatrix().front();
-    const auto a = runScenario(s);
-    const auto b = runScenario(s);
+    const auto a = soak::runScenario(s);
+    const auto b = soak::runScenario(s);
     EXPECT_EQ(a.run.arrivals, b.run.arrivals);
     EXPECT_EQ(a.run.grants, b.run.grants);
     EXPECT_EQ(a.drained, b.drained);
@@ -174,8 +175,8 @@ TEST(ScenarioMatrixShape, LegsAreDeterministic)
     other.load = 0.9;
     Scenario reseeded = other;
     reseeded.seed = other.seed + 1;
-    EXPECT_NE(runScenario(other).run.arrivals,
-              runScenario(reseeded).run.arrivals);
+    EXPECT_NE(soak::runScenario(other).run.arrivals,
+              soak::runScenario(reseeded).run.arrivals);
 }
 
 TEST(ScenarioMatrixShape, FailureReportNamesTheSeed)
@@ -188,7 +189,7 @@ TEST(ScenarioMatrixShape, FailureReportNamesTheSeed)
     s.gran = 3;
     s.groups = 2;
     s.seed = 424242;
-    const auto out = runScenario(s);
+    const auto out = soak::runScenario(s);
     EXPECT_FALSE(out.passed);
     EXPECT_NE(out.failure.find("seed=424242"), std::string::npos)
         << out.failure;

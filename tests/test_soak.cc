@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "common/random.hh"
 #include "common/serialize.hh"
 #include "common/stats.hh"
+#include "crossbar/crossbar_sim.hh"
 #include "fabric/fabric.hh"
 #include "fuzz_env.hh"
 #include "soak/checkpoint.hh"
@@ -479,7 +481,7 @@ void
 expectBitIdentical(const sim::Scenario &s)
 {
     SCOPED_TRACE(s.describe());
-    const auto plain = sim::runScenario(s);
+    const auto plain = soak::runScenario(s);
     const auto expect = recordBytes(s, plain);
     // The quartiles mostly fall on the b and B interval grid; the
     // odd cursors restore mid-interval with reads in flight, so the
@@ -517,7 +519,7 @@ TEST(SoakBitIdentity, CheckpointEveryMSelfTest)
     // each snapshot into a fresh run before continuing.
     for (const auto &s : sim::smokeMatrix()) {
         SCOPED_TRACE(s.describe());
-        const auto plain = sim::runScenario(s);
+        const auto plain = soak::runScenario(s);
         const auto seg =
             soak::runCheckpointed<soak::ScenarioRun>(s, s.slots / 7 + 1);
         EXPECT_EQ(recordBytes(s, seg), recordBytes(s, plain));
@@ -538,11 +540,11 @@ TEST(SoakBitIdentity, FourPortSwitchSmoke)
     for (const auto &plan : plans) {
         SCOPED_TRACE("port " + std::to_string(plan.port) + ": " +
                      plan.scenario.describe());
-        const auto plain = sw::runPort(plan);
-        const auto expect = portRecordBytes(plan, plain);
-        const auto factory = [&plan] {
+        const soak::WorkloadFactory factory = [&plan] {
             return sw::makePortWorkload(plan);
         };
+        const auto plain = soak::runScenario(plan.scenario, factory);
+        const auto expect = portRecordBytes(plan, plain);
         for (const unsigned pct : {25u, 50u, 75u}) {
             SCOPED_TRACE("save at " + std::to_string(pct) + "%");
             soak::ScenarioRun a(plan.scenario, factory);
@@ -555,6 +557,81 @@ TEST(SoakBitIdentity, FourPortSwitchSmoke)
             EXPECT_EQ(portRecordBytes(plan, seg), expect);
         }
     }
+}
+
+// --------------------------------------------------- leg driver
+
+/** `text` with the source location of a fatal, "(<file>:<line>)",
+ *  cut down to "(<where>)": the path depends on the checkout. */
+std::string
+withoutWhere(const std::string &text)
+{
+    static const std::regex where(R"(\([^()]*\.cc:[0-9]+\))");
+    return std::regex_replace(text, where, "(<where>)");
+}
+
+TEST(LegDriver, ConstructionFailureTextIsPinned)
+{
+    // A granularity that does not divide B fails every buffer's
+    // construction.  Matrix legs, switch ports and crossbar inputs
+    // all run through soak::runCheckpointed, so each reports the one
+    // catch's text, byte for byte the text of the drivers it
+    // replaced.
+    const std::string why =
+        "exception: fatal: b=3 must divide B=8 (<where>); [";
+
+    sim::Scenario s;
+    s.variant = sim::BufferVariant::Cfds;
+    s.gran = 3;
+    s.groups = 4;
+    s.slots = 100;
+    s.seed = 77;
+    const auto leg = soak::runScenario(s);
+    EXPECT_FALSE(leg.passed);
+    EXPECT_EQ(withoutWhere(leg.failure),
+              why + "cfds_adversarial_q8_B8_b3 groups=4 "
+                    "dram=unbounded load=1 slots=100 seed=77]");
+
+    sw::SwitchConfig sc;
+    sc.ports = 2;
+    sc.gran = 3;
+    sc.slots = 100;
+    const auto ports = sw::runPlans(sw::planPorts(sc), 2);
+    EXPECT_FALSE(ports.passed);
+    EXPECT_EQ(withoutWhere(ports.failure),
+              "port0: " + why +
+                  "cfds_bernoulli_q8_B8_b3 groups=4 dram=unbounded "
+                  "load=0.45 slots=100 seed=10451216379200822465] | "
+                  "port1: " + why +
+                  "cfds_bernoulli_q8_B8_b3 groups=4 dram=unbounded "
+                  "load=0.45 slots=100 seed=13757245211066428519]");
+
+    xbar::CrossbarConfig xc;
+    xc.ports = 2;
+    xc.gran = 3;
+    xc.slots = 100;
+    const auto fabric = xbar::runCrossbar(xc);
+    EXPECT_FALSE(fabric.passed);
+    EXPECT_EQ(withoutWhere(fabric.failure),
+              why + "xbar_islip_uniform_p2_cfds_B8_b3 groups=4 "
+                    "load=0.45 slots=100 master_seed=1 "
+                    "islip_iters=4]");
+}
+
+TEST(LegDriver, LegOfferedNoCellPasses)
+{
+    // Nothing arrived and nothing was dropped: nothing to deliver.
+    sim::Scenario s;
+    s.variant = sim::BufferVariant::Cfds;
+    s.gran = 2;
+    s.groups = 4;
+    s.workload = sim::WorkloadKind::Bernoulli;
+    s.load = 0.0;
+    s.slots = 500;
+    const auto out = soak::runScenario(s);
+    EXPECT_TRUE(out.passed) << out.failure;
+    EXPECT_EQ(out.run.arrivals, 0u);
+    EXPECT_EQ(out.verified, 0u);
 }
 
 // --------------------------------------------------- fuzz smoke
@@ -591,7 +668,7 @@ TEST(SoakFuzzSmoke, RandomLegsSurviveCheckpointCycles)
              << ")";
         SCOPED_TRACE(desc.str());
         const bool failed_before = ::testing::Test::HasFailure();
-        const auto plain = sim::runScenario(s);
+        const auto plain = soak::runScenario(s);
         const auto seg = soak::runCheckpointed<soak::ScenarioRun>(s, every);
         EXPECT_EQ(seg.passed, plain.passed)
             << "plain: " << plain.failure

@@ -19,6 +19,7 @@
 #include "artifact_rows.hh"
 #include "common/logging.hh"
 #include "fabric/fabric.hh"
+#include "soak/checkpoint.hh"
 #include "sweep/scenario_sweep.hh"
 #include "sweep/sweep.hh"
 #include "switch/switch_sim.hh"
@@ -131,7 +132,7 @@ TEST(SwitchEquivalence, OnePortUniformReproducesSingleBufferLeg)
     leg.load = cfg.load;
     leg.slots = cfg.slots;
     leg.seed = sweep::deriveSeed(cfg.masterSeed, 0);
-    const auto ref = sim::runScenario(leg);
+    const auto ref = soak::runScenario(leg);
     ASSERT_TRUE(ref.passed) << ref.failure;
 
     EXPECT_EQ(
